@@ -5,14 +5,11 @@
 #include <sstream>
 
 #include "campaign/campaign.hpp"
+#include "common/json.hpp"
 
 namespace esv::campaign {
 
 namespace {
-
-const char* mode_name(sctc::MonitorMode mode) {
-  return sctc::monitor_mode_name(mode);
-}
 
 char verdict_letter(temporal::Verdict v) {
   switch (v) {
@@ -32,30 +29,6 @@ const char* verdict_json(temporal::Verdict v) {
   return "unknown";
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream hex;
-          hex << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(static_cast<unsigned char>(c));
-          out += hex.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Fixed-precision percentage so the deterministic outputs never depend on
 /// floating-point formatting defaults.
 std::string percent_text(double percent) {
@@ -64,17 +37,13 @@ std::string percent_text(double percent) {
   return out.str();
 }
 
-const char* fault_class_json(sctc::FaultClass fault_class) {
-  return sctc::fault_class_name(fault_class);
-}
-
 }  // namespace
 
 std::string CampaignReport::verdict_table() const {
   std::ostringstream out;
   out << "campaign seeds " << seed_lo << ".." << seed_hi << "  approach="
-      << approach << "  mode=" << mode_name(mode) << "  max-steps="
-      << max_steps << "\n";
+      << approach << "  mode=" << sctc::monitor_mode_name(mode)
+      << "  max-steps=" << max_steps << "\n";
   if (fault_campaign) {
     out << "fault plan: " << fault_plan_entries << " entries, "
         << injected_faults_total << " faults injected\n";
@@ -148,14 +117,14 @@ std::string CampaignReport::to_json(bool include_timing) const {
   std::ostringstream out;
   out << "{\n  \"campaign\": {"
       << "\"seed_lo\": " << seed_lo << ", \"seed_hi\": " << seed_hi
-      << ", \"approach\": " << approach << ", \"mode\": \"" << mode_name(mode)
-      << "\", \"max_steps\": " << max_steps;
+      << ", \"approach\": " << approach << ", \"mode\": \""
+      << sctc::monitor_mode_name(mode) << "\", \"max_steps\": " << max_steps;
   if (include_timing) out << ", \"jobs\": " << jobs;
   out << "},\n";
 
   out << "  \"properties\": [";
   for (std::size_t i = 0; i < property_names.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << json_escape(property_names[i]) << "\"";
+    out << (i ? ", " : "") << common::json_string(property_names[i]);
   }
   out << "],\n";
 
@@ -180,22 +149,22 @@ std::string CampaignReport::to_json(bool include_timing) const {
           << ", \"fault_classes\": [";
       for (std::size_t p = 0; p < seed.properties.size(); ++p) {
         out << (p ? ", " : "") << "\""
-            << fault_class_json(seed.properties[p].fault_class) << "\"";
+            << sctc::fault_class_name(seed.properties[p].fault_class) << "\"";
       }
       out << "]";
       if (!seed.fault_log.empty()) {
-        out << ", \"fault_log\": \"" << json_escape(seed.fault_log) << "\"";
+        out << ", \"fault_log\": " << common::json_string(seed.fault_log);
       }
     }
     if (seed.attempts > 1) {
       out << ", \"attempts\": " << seed.attempts;
     }
     if (!seed.error.empty()) {
-      out << ", \"error\": \"" << json_escape(seed.error) << "\""
-          << ", \"error_kind\": \"" << json_escape(seed.error_kind) << "\"";
+      out << ", \"error\": " << common::json_string(seed.error)
+          << ", \"error_kind\": " << common::json_string(seed.error_kind);
       if (!seed.fault_plan_digest.empty()) {
-        out << ", \"fault_plan_digest\": \""
-            << json_escape(seed.fault_plan_digest) << "\"";
+        out << ", \"fault_plan_digest\": "
+            << common::json_string(seed.fault_plan_digest);
       }
       if (include_timing) {
         // How long the failing attempt ran before it died — the number that
@@ -207,7 +176,7 @@ std::string CampaignReport::to_json(bool include_timing) const {
       }
     }
     if (!seed.witness.empty()) {
-      out << ", \"witness\": \"" << json_escape(seed.witness) << "\"";
+      out << ", \"witness\": " << common::json_string(seed.witness);
     }
     if (include_timing) {
       out << ", \"wall_ms\": " << std::fixed << std::setprecision(3)
@@ -221,8 +190,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
   out << "  \"aggregate\": {\n    \"per_property\": [\n";
   for (std::size_t i = 0; i < per_property.size(); ++i) {
     const PropertyAggregate& agg = per_property[i];
-    out << "      {\"name\": \"" << json_escape(agg.name)
-        << "\", \"validated\": " << agg.validated
+    out << "      {\"name\": " << common::json_string(agg.name)
+        << ", \"validated\": " << agg.validated
         << ", \"violated\": " << agg.violated
         << ", \"pending\": " << agg.pending;
     if (fault_campaign) {
@@ -241,8 +210,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
   out << "    ],\n    \"coverage\": [\n";
   for (std::size_t i = 0; i < coverage.size(); ++i) {
     const PropositionCoverage& cov = coverage[i];
-    out << "      {\"prop\": \"" << json_escape(cov.name)
-        << "\", \"true_steps\": " << cov.true_steps
+    out << "      {\"prop\": " << common::json_string(cov.name)
+        << ", \"true_steps\": " << cov.true_steps
         << ", \"total_steps\": " << cov.total_steps << ", \"percent\": "
         << percent_text(cov.percent()) << "}"
         << (i + 1 < coverage.size() ? "," : "") << "\n";
@@ -275,8 +244,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
     // reproducible from the report JSON alone: mode, steps, and rate all
     // live next to the counters that produced them.
     const std::string snapshot = metrics.to_json(include_timing);
-    out << ",\n  \"metrics\": {\"monitor_mode\": \"" << mode_name(mode)
-        << "\",";
+    out << ",\n  \"metrics\": {\"monitor_mode\": \""
+        << sctc::monitor_mode_name(mode) << "\",";
     if (include_timing) {
       out << " \"steps_per_second\": " << std::fixed << std::setprecision(1)
           << (wall_seconds > 0.0

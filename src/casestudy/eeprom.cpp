@@ -55,7 +55,7 @@ const OperationSpec& operation_by_name(const std::string& name) {
 }
 
 void register_operation_propositions(sctc::TemporalChecker& checker,
-                                     const sctc::MemoryReadInterface& memory,
+                                     const mem::MemoryReadInterface& memory,
                                      const minic::Program& program,
                                      const OperationSpec& op) {
   // "<Name>": the operation's entry function is executing. This uses the

@@ -69,7 +69,7 @@ const OperationSpec& operation_by_name(const std::string& name);
 /// Reads happen through `memory` (microprocessor memory in approach 1, the
 /// virtual memory model in approach 2 — identical code, as in the paper).
 void register_operation_propositions(sctc::TemporalChecker& checker,
-                                     const sctc::MemoryReadInterface& memory,
+                                     const mem::MemoryReadInterface& memory,
                                      const minic::Program& program,
                                      const OperationSpec& op);
 

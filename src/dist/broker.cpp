@@ -503,7 +503,8 @@ class Broker {
   // --- frame handling ----------------------------------------------------
 
   void handle_result(const Json& body) {
-    campaign::SeedResult result = seed_result_from_json(body.at("result"));
+    campaign::SeedResult result =
+        campaign::seed_result_from_json(body.at("result"));
     if (result.seed < config_.seed_lo || result.seed > config_.seed_hi) return;
     std::uint64_t index = result.seed - config_.seed_lo;
     for (WorkerSlot& slot : slots_) {
@@ -544,7 +545,8 @@ class Broker {
         break;
       case FrameKind::kMetrics:
         try {
-          worker_metrics_.merge(metrics_from_json(frame.body.at("metrics")));
+          worker_metrics_.merge(
+              campaign::metrics_from_json(frame.body.at("metrics")));
         } catch (const WireError&) {
         }
         break;

@@ -41,7 +41,7 @@ std::string make_broker_hello(const campaign::CampaignConfig& config) {
   std::string out = "{\"type\":\"hello\",\"protocol\":";
   out += std::to_string(kProtocolVersion);
   out += ",\"config\":";
-  out += config_to_json(config);
+  out += campaign::config_to_json(config);
   out += "}";
   return out;
 }
@@ -57,13 +57,13 @@ std::string make_assign(const std::vector<std::uint64_t>& seeds) {
 }
 
 std::string make_result(const campaign::SeedResult& result) {
-  return "{\"type\":\"result\",\"result\":" + seed_result_to_json(result) +
-         "}";
+  return "{\"type\":\"result\",\"result\":" +
+         campaign::seed_result_to_json(result) + "}";
 }
 
 std::string make_metrics(const obs::MetricsSnapshot& snapshot) {
-  return "{\"type\":\"metrics\",\"metrics\":" + metrics_to_json(snapshot) +
-         "}";
+  return "{\"type\":\"metrics\",\"metrics\":" +
+         campaign::metrics_to_json(snapshot) + "}";
 }
 
 std::string make_heartbeat(std::uint64_t queued, std::uint64_t busy) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/codec.hpp"
 #include "dist/wire.hpp"
 
 namespace esv::dist {

@@ -313,7 +313,7 @@ int worker_main(int argc, char** argv) {
         frame.body.at("protocol").as_u64() != kProtocolVersion) {
       return fail_usage("protocol mismatch in broker hello");
     }
-    config = config_from_json(frame.body.at("config"));
+    config = campaign::config_from_json(frame.body.at("config"));
   } catch (const WireError& error) {
     std::fprintf(stderr, "esv-worker: handshake failed: %s\n", error.what());
     return 1;

@@ -12,45 +12,13 @@
 #include <set>
 #include <sstream>
 
+#include "campaign/codec.hpp"
 #include "chaos/chaos.hpp"
+#include "common/crc.hpp"
 #include "common/digest.hpp"
-#include "dist/wire.hpp"
+#include "common/json.hpp"
 
 namespace esv::journal {
-
-// --- CRC-32 --------------------------------------------------------------
-
-namespace {
-
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      entries[i] = crc;
-    }
-  }
-};
-
-const Crc32Table& crc_table() {
-  static const Crc32Table table;
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size) {
-  const Crc32Table& table = crc_table();
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ bytes[i]) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 // --- configuration digest ------------------------------------------------
 
@@ -93,29 +61,10 @@ std::string config_digest(const campaign::CampaignConfig& config) {
 
 namespace {
 
-constexpr std::size_t kRecordHeaderBytes = 8;  // u32 length + u32 crc
-
-void put_u32_le(std::string& out, std::uint32_t value) {
-  out += static_cast<char>(value & 0xFF);
-  out += static_cast<char>((value >> 8) & 0xFF);
-  out += static_cast<char>((value >> 16) & 0xFF);
-  out += static_cast<char>((value >> 24) & 0xFF);
-}
-
-std::uint32_t get_u32_le(const char* bytes) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1])) << 8 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2]))
-             << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]))
-             << 24;
-}
-
 std::string frame_record(const std::string& payload) {
   std::string record;
-  record.reserve(kRecordHeaderBytes + payload.size() + 1);
-  put_u32_le(record, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(record, crc32(payload.data(), payload.size()));
+  record.reserve(common::kRecordHeaderBytes + payload.size() + 1);
+  common::append_record_header(record, payload);
   record += payload;
   record += '\n';
   return record;
@@ -124,7 +73,7 @@ std::string frame_record(const std::string& payload) {
 std::string header_payload(const campaign::CampaignConfig& config) {
   std::string out = "{\"type\":\"header\",\"version\":";
   out += std::to_string(kJournalVersion);
-  out += ",\"config_digest\":" + dist::json_string(config_digest(config));
+  out += ",\"config_digest\":" + common::json_string(config_digest(config));
   out += ",\"seed_lo\":" + std::to_string(config.seed_lo);
   out += ",\"seed_hi\":" + std::to_string(config.seed_hi);
   out += "}";
@@ -286,7 +235,7 @@ JournalWriter::JournalWriter(const std::string& path,
 
 void JournalWriter::append(const campaign::SeedResult& result) {
   std::string payload = "{\"type\":\"seed\",\"result\":";
-  payload += dist::seed_result_to_json(result);
+  payload += campaign::seed_result_to_json(result);
   payload += "}";
   log_.append(payload);
 }
@@ -316,17 +265,17 @@ ScannedRecords scan_records(const std::string& path) {
     // trailing newline all mean the same thing here: the writer died
     // mid-record (or the tail was otherwise damaged). Keep the prefix,
     // drop the rest.
-    if (bytes.size() - pos < kRecordHeaderBytes) break;
-    const std::uint32_t length = get_u32_le(bytes.data() + pos);
-    const std::uint32_t expected_crc = get_u32_le(bytes.data() + pos + 4);
-    const std::size_t payload_at = pos + kRecordHeaderBytes;
+    if (bytes.size() - pos < common::kRecordHeaderBytes) break;
+    const char* header = bytes.data() + pos;
+    const std::uint32_t length = common::record_payload_length(header);
+    const std::size_t payload_at = pos + common::kRecordHeaderBytes;
     if (bytes.size() - payload_at < static_cast<std::size_t>(length) + 1) break;
     if (bytes[payload_at + length] != '\n') break;
-    const char* payload = bytes.data() + payload_at;
-    if (crc32(payload, length) != expected_crc) break;
+    const std::string_view payload(bytes.data() + payload_at, length);
+    if (!common::record_payload_intact(header, payload)) break;
 
     pos = payload_at + length + 1;
-    scanned.records.push_back({std::string(payload, length), pos});
+    scanned.records.push_back({std::string(payload), pos});
     scanned.valid_bytes = pos;
   }
 
@@ -448,7 +397,7 @@ RecoveredJournal recover(const std::string& path) {
     campaign::SeedResult result;
     bool is_seed = false;
     try {
-      const dist::Json json = dist::Json::parse(record.payload);
+      const common::Json json = common::Json::parse(record.payload);
       const std::string type = json.string_or("type", "");
       if (expect_header) {
         if (type != "header") break;
@@ -460,12 +409,12 @@ RecoveredJournal recover(const std::string& path) {
         recovered.seed_lo = json.at("seed_lo").as_u64();
         recovered.seed_hi = json.at("seed_hi").as_u64();
       } else if (type == "seed") {
-        result = dist::seed_result_from_json(json.at("result"));
+        result = campaign::seed_result_from_json(json.at("result"));
         is_seed = true;
       } else {
         break;
       }
-    } catch (const dist::WireError&) {
+    } catch (const common::DecodeError&) {
       break;
     }
 

@@ -14,13 +14,15 @@
 //   | u32 length     | u32 CRC32      | payload (JSON text) | '\n' |
 //   +----------------+----------------+---------------------+------+
 //
-// The CRC covers the payload bytes only. The trailing newline keeps the file
-// greppable and doubles as a cheap framing check. Two payload types exist:
+// The length + CRC header is the common/crc.hpp record header that wire
+// frames use too; the CRC covers the payload bytes only. The trailing newline
+// keeps the file greppable and doubles as a cheap framing check. Two payload types exist:
 //
 //   {"type":"header","version":2,"config_digest":"<16 hex>",
 //    "seed_lo":N,"seed_hi":N}          — first record of every journal
 //   {"type":"seed","result":{...}}     — one per finished seed, the lossless
-//                                        wire rendering of the SeedResult
+//                                        campaign/codec.hpp rendering of the
+//                                        SeedResult
 //
 // Recovery is prefix-based: the scan keeps every record up to the first
 // truncated or corrupt one and drops everything from there on. A torn tail
@@ -47,10 +49,6 @@ class JournalError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected,
-/// init/final-xor 0xFFFFFFFF). crc32("123456789") == 0xCBF43926.
-std::uint32_t crc32(const void* data, std::size_t size);
 
 /// Stable 16-hex-digit FNV-1a digest over every configuration field that can
 /// change a deterministic result byte: program, spec, approach, mode, step

@@ -7,7 +7,7 @@
 //     requests" because verification happens "without having hardware"
 //
 // The SCTC reads embedded-software variables out of this space through the
-// sctc::MemoryReadInterface (sctc_read_uint); monitor reads are side-effect
+// mem::MemoryReadInterface (sctc_read_uint); monitor reads are side-effect
 // free and only see RAM, never device registers.
 #pragma once
 
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "sctc/proposition.hpp"
+#include "mem/read_interface.hpp"
 
 namespace esv::mem {
 
@@ -44,7 +44,7 @@ class MemoryFault : public std::runtime_error {
   std::uint32_t address_;
 };
 
-class AddressSpace final : public sctc::MemoryReadInterface {
+class AddressSpace final : public MemoryReadInterface {
  public:
   /// RAM spans byte addresses [0, ram_bytes); must be word-aligned.
   explicit AddressSpace(std::uint32_t ram_bytes);

@@ -2,32 +2,11 @@
 
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace esv::obs {
 
-namespace {
-
-// Minimal JSON string escape; proposition/property names and fault texts are
-// plain ASCII in practice, but a malicious spec must not corrupt the stream.
-void escape_into(std::ostringstream& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF]
-              << "0123456789abcdef"[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
+using common::json_string;
 
 void TraceWriter::append(std::string_view text) {
   buffer_ += text;
@@ -44,9 +23,9 @@ void TraceWriter::seed_start(std::uint64_t seed) {
 void TraceWriter::prop_change(std::uint64_t step, std::string_view prop,
                               bool value) {
   std::ostringstream line;
-  line << "{\"type\":\"prop_change\",\"step\":" << step << ",\"prop\":\"";
-  escape_into(line, prop);
-  line << "\",\"value\":" << (value ? 1 : 0) << "}";
+  line << "{\"type\":\"prop_change\",\"step\":" << step
+       << ",\"prop\":" << json_string(prop) << ",\"value\":" << (value ? 1 : 0)
+       << "}";
   append(line.str());
 }
 
@@ -56,13 +35,9 @@ void TraceWriter::monitor_transition(std::uint64_t step,
                                      std::string_view to) {
   std::ostringstream line;
   line << "{\"type\":\"monitor_transition\",\"step\":" << step
-       << ",\"property\":\"";
-  escape_into(line, property);
-  line << "\",\"from\":\"";
-  escape_into(line, from);
-  line << "\",\"to\":\"";
-  escape_into(line, to);
-  line << "\"}";
+       << ",\"property\":" << json_string(property)
+       << ",\"from\":" << json_string(from) << ",\"to\":" << json_string(to)
+       << "}";
   append(line.str());
 }
 
@@ -71,9 +46,8 @@ void TraceWriter::automaton_state(std::uint64_t step,
                                   std::uint32_t state) {
   std::ostringstream line;
   line << "{\"type\":\"automaton_state\",\"step\":" << step
-       << ",\"property\":\"";
-  escape_into(line, property);
-  line << "\",\"state\":" << state << "}";
+       << ",\"property\":" << json_string(property)
+       << ",\"state\":" << state << "}";
   append(line.str());
 }
 
@@ -82,19 +56,15 @@ void TraceWriter::monitor_divergence(std::uint64_t step,
                                      std::string_view detail) {
   std::ostringstream line;
   line << "{\"type\":\"monitor_divergence\",\"step\":" << step
-       << ",\"property\":\"";
-  escape_into(line, property);
-  line << "\",\"detail\":\"";
-  escape_into(line, detail);
-  line << "\"}";
+       << ",\"property\":" << json_string(property)
+       << ",\"detail\":" << json_string(detail) << "}";
   append(line.str());
 }
 
 void TraceWriter::fault(std::uint64_t step, std::string_view text) {
   std::ostringstream line;
-  line << "{\"type\":\"fault\",\"step\":" << step << ",\"text\":\"";
-  escape_into(line, text);
-  line << "\"}";
+  line << "{\"type\":\"fault\",\"step\":" << step
+       << ",\"text\":" << json_string(text) << "}";
   append(line.str());
 }
 
@@ -102,15 +72,10 @@ void TraceWriter::chaos_injected(std::string_view point,
                                  std::string_view action, std::uint64_t hit,
                                  std::string_view detail) {
   std::ostringstream line;
-  line << "{\"type\":\"chaos_injected\",\"point\":\"";
-  escape_into(line, point);
-  line << "\",\"action\":\"";
-  escape_into(line, action);
-  line << "\",\"hit\":" << hit;
+  line << "{\"type\":\"chaos_injected\",\"point\":" << json_string(point)
+       << ",\"action\":" << json_string(action) << ",\"hit\":" << hit;
   if (!detail.empty()) {
-    line << ",\"detail\":\"";
-    escape_into(line, detail);
-    line << "\"";
+    line << ",\"detail\":" << json_string(detail);
   }
   line << "}";
   append(line.str());
@@ -125,13 +90,10 @@ void TraceWriter::handshake(std::uint64_t steps) {
 void TraceWriter::worker_event(std::string_view event, unsigned worker,
                                unsigned generation, std::string_view detail) {
   std::ostringstream line;
-  line << "{\"type\":\"worker\",\"event\":\"";
-  escape_into(line, event);
-  line << "\",\"worker\":" << worker << ",\"generation\":" << generation;
+  line << "{\"type\":\"worker\",\"event\":" << json_string(event)
+       << ",\"worker\":" << worker << ",\"generation\":" << generation;
   if (!detail.empty()) {
-    line << ",\"detail\":\"";
-    escape_into(line, detail);
-    line << "\"";
+    line << ",\"detail\":" << json_string(detail);
   }
   line << "}";
   append(line.str());
@@ -140,13 +102,9 @@ void TraceWriter::worker_event(std::string_view event, unsigned worker,
 void TraceWriter::campaign_event(std::string_view event,
                                  std::string_view detail) {
   std::ostringstream line;
-  line << "{\"type\":\"campaign\",\"event\":\"";
-  escape_into(line, event);
-  line << "\"";
+  line << "{\"type\":\"campaign\",\"event\":" << json_string(event);
   if (!detail.empty()) {
-    line << ",\"detail\":\"";
-    escape_into(line, detail);
-    line << "\"";
+    line << ",\"detail\":" << json_string(detail);
   }
   line << "}";
   append(line.str());

@@ -5,7 +5,8 @@
 namespace esv::sctc {
 
 EswMonitor::EswMonitor(sim::Simulation& sim, std::string name,
-                       sim::Event& trigger, const MemoryReadInterface& memory,
+                       sim::Event& trigger,
+                       const mem::MemoryReadInterface& memory,
                        std::uint32_t flag_address,
                        std::function<void(TemporalChecker&)> setup,
                        MonitorMode mode)

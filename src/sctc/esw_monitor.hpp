@@ -31,7 +31,7 @@ class EswMonitor : public sim::Module {
   /// `setup` is invoked once, after the handshake, to register the ESW
   /// propositions and instantiate the temporal properties on the checker.
   EswMonitor(sim::Simulation& sim, std::string name, sim::Event& trigger,
-             const MemoryReadInterface& memory, std::uint32_t flag_address,
+             const mem::MemoryReadInterface& memory, std::uint32_t flag_address,
              std::function<void(TemporalChecker&)> setup,
              MonitorMode mode = MonitorMode::kProgression);
 
@@ -54,7 +54,7 @@ class EswMonitor : public sim::Module {
   sim::Task run(sim::Event& trigger);
 
   TemporalChecker checker_;
-  const MemoryReadInterface& memory_;
+  const mem::MemoryReadInterface& memory_;
   std::uint32_t flag_address_;
   std::function<void(TemporalChecker&)> setup_;
   bool initialized_ = false;

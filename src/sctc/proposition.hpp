@@ -14,6 +14,8 @@
 #include <string>
 #include <utility>
 
+#include "mem/read_interface.hpp"
+
 namespace esv::sctc {
 
 class Proposition {
@@ -44,25 +46,14 @@ class LambdaProposition final : public Proposition {
   std::function<bool()> predicate_;
 };
 
-/// Read access to a memory image, the interface the paper adds to SCTC so it
-/// can "provide the ESW variable address and read its content from memory"
-/// (sc_uint<32> sctc_sc_read_uint(sc_uint<32> addr)). Implemented by the
-/// microprocessor memory (approach 1) and the virtual memory model
-/// (approach 2).
-class MemoryReadInterface {
- public:
-  virtual ~MemoryReadInterface() = default;
-  /// Reads the 32-bit word at byte address `address`.
-  virtual std::uint32_t sctc_read_uint(std::uint32_t address) const = 0;
-};
-
 enum class Compare { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// "variable at address <addr> <op> <value>" — monitors an embedded-software
-/// variable stored in a microprocessor memory model.
+/// variable stored in a microprocessor memory model, read through
+/// mem::MemoryReadInterface.
 class MemoryWordProposition final : public Proposition {
  public:
-  MemoryWordProposition(const MemoryReadInterface& memory,
+  MemoryWordProposition(const mem::MemoryReadInterface& memory,
                         std::uint32_t address, Compare op, std::uint32_t value)
       : memory_(&memory), address_(address), op_(op), value_(value) {}
 
@@ -74,7 +65,7 @@ class MemoryWordProposition final : public Proposition {
   }
 
  private:
-  const MemoryReadInterface* memory_;
+  const mem::MemoryReadInterface* memory_;
   std::uint32_t address_;
   Compare op_;
   std::uint32_t value_;

@@ -33,7 +33,7 @@ std::string accepted_payload(std::uint64_t job, const std::string& tenant,
   payload += ",\"tenant\":" + dist::json_string(tenant);
   payload += ",\"key\":" + dist::json_string(key);
   payload += campaign_shape_json(config);
-  payload += ",\"config\":" + dist::config_to_json(config);
+  payload += ",\"config\":" + campaign::config_to_json(config);
   payload += "}";
   return payload;
 }
@@ -184,7 +184,7 @@ RecoveredServe recover_serve(const std::string& path) {
           job.job = json.at("job").as_u64();
           job.tenant = json.at("tenant").as_string();
           job.key = json.at("key").as_string();
-          job.config = dist::config_from_json(json.at("config"));
+          job.config = campaign::config_from_json(json.at("config"));
           apply_campaign_shape(json, job.config);
           const std::uint64_t id = job.job;
           if (accepted.emplace(id, std::move(job)).second) {

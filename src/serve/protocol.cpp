@@ -43,7 +43,7 @@ std::string make_submit(const std::string& tenant,
   out += std::to_string(kServeProtocolVersion);
   out += ",\"tenant\":" + dist::json_string(tenant);
   out += campaign_shape_json(config);
-  out += ",\"config\":" + dist::config_to_json(config);
+  out += ",\"config\":" + campaign::config_to_json(config);
   out += "}";
   return out;
 }

@@ -43,6 +43,7 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "campaign/codec.hpp"
 #include "dist/wire.hpp"
 
 namespace esv::serve {
@@ -77,7 +78,7 @@ enum class FrameKind {
 FrameKind frame_kind(const dist::Json& json);
 
 // --- campaign shape ------------------------------------------------------
-// dist::config_to_json deliberately omits seed_lo/seed_hi/workers (the
+// campaign::config_to_json deliberately omits seed_lo/seed_hi/workers (the
 // distributed wire assigns seed ranges per chunk), so serve frames and
 // journal records carry them as explicit siblings of "config".
 
@@ -86,7 +87,7 @@ FrameKind frame_kind(const dist::Json& json);
 std::string campaign_shape_json(const campaign::CampaignConfig& config);
 
 /// Reads the shape fields back into a config parsed with
-/// dist::config_from_json. Throws dist::WireError on a bad range.
+/// campaign::config_from_json. Throws dist::WireError on a bad range.
 void apply_campaign_shape(const dist::Json& json,
                           campaign::CampaignConfig& config);
 

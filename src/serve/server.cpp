@@ -380,7 +380,7 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
   }
   campaign::CampaignConfig config;
   try {
-    config = dist::config_from_json(json.at("config"));
+    config = campaign::config_from_json(json.at("config"));
     apply_campaign_shape(json, config);
   } catch (const dist::WireError& e) {
     send_rejected(conn_index, std::string("malformed config: ") + e.what());

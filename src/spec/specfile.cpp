@@ -164,7 +164,7 @@ SpecFile parse_spec(std::string_view text) {
 }
 
 void apply_spec(const SpecFile& spec, const minic::Program& program,
-                const sctc::MemoryReadInterface& memory,
+                const mem::MemoryReadInterface& memory,
                 sctc::TemporalChecker& checker) {
   for (const PropositionSpec& prop : spec.propositions) {
     // Resolve the watched global (fname resolves via its injected slot).

@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mem/read_interface.hpp"
 #include "minic/ast.hpp"
 #include "sctc/checker.hpp"
 
@@ -87,7 +88,7 @@ SpecFile parse_spec(std::string_view text);
 /// fname ids) and registers propositions + properties on `checker`, reading
 /// values through `memory`. Throws SpecError on unresolvable names.
 void apply_spec(const SpecFile& spec, const minic::Program& program,
-                const sctc::MemoryReadInterface& memory,
+                const mem::MemoryReadInterface& memory,
                 sctc::TemporalChecker& checker);
 
 }  // namespace esv::spec

@@ -161,6 +161,10 @@ struct DiffCase {
   std::vector<const char*> observables;
 };
 
+// Print a case by its name: gtest's default dumps the raw bytes, which here
+// are pointers and so make the listed test names differ from build to build.
+void PrintTo(const DiffCase& tc, std::ostream* os) { *os << tc.name; }
+
 class CpuVsEswTest : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(CpuVsEswTest, GlobalsAgree) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/codec.hpp"
 #include "dist/protocol.hpp"
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
@@ -54,12 +55,41 @@ TEST(DistJsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(doc.at("b"), WireError);
   EXPECT_THROW(doc.at("a").as_string(), WireError);
   EXPECT_THROW(doc.as_u64(), WireError);
+
+  // Nesting is capped so a hostile document cannot exhaust the stack of the
+  // recursive parser: exactly at the cap parses, one level past throws.
+  const std::size_t cap = common::kMaxJsonDepth;
+  EXPECT_NO_THROW(
+      Json::parse(std::string(cap, '[') + std::string(cap, ']')));
+  EXPECT_THROW(
+      Json::parse(std::string(cap + 1, '[') + std::string(cap + 1, ']')),
+      WireError);
+  std::string objects;
+  for (std::size_t i = 0; i < cap; ++i) objects += "{\"a\":";
+  EXPECT_NO_THROW(Json::parse(objects + "1" + std::string(cap, '}')));
+  EXPECT_THROW(Json::parse("{\"a\":" + objects + "1" +
+                           std::string(cap + 1, '}')),
+               WireError);
 }
 
 TEST(DistJsonTest, EscapesRoundTrip) {
   const std::string nasty = "quote\" backslash\\ newline\n tab\t ctrl\x01 end";
   Json doc = Json::parse("{\"v\":" + json_string(nasty) + "}");
   EXPECT_EQ(doc.at("v").as_string(), nasty);
+
+  // The exact bytes every writer (report, trace, fuzz reproducer, wire,
+  // journal) emits: short escapes for five characters, \u00xx for the rest
+  // of the C0 controls, everything else (DEL, UTF-8 bytes) passed through.
+  EXPECT_EQ(json_string("\""), "\"\\\"\"");
+  EXPECT_EQ(json_string("\\"), "\"\\\\\"");
+  EXPECT_EQ(json_string("\n"), "\"\\n\"");
+  EXPECT_EQ(json_string("\r"), "\"\\r\"");
+  EXPECT_EQ(json_string("\t"), "\"\\t\"");
+  EXPECT_EQ(json_string("\x01"), "\"\\u0001\"");
+  EXPECT_EQ(json_string("\x1f"), "\"\\u001f\"");
+  EXPECT_EQ(json_string("\x7f"), "\"\x7f\"");
+  EXPECT_EQ(json_string("\xc3\xa9"), "\"\xc3\xa9\"");
+  EXPECT_EQ(json_string("/"), "\"/\"");
 }
 
 TEST(DistFramingTest, FrameReaderReassemblesByteAtATime) {
@@ -294,8 +324,8 @@ TEST(DistWireTest, CampaignConfigRoundTripsLosslessly) {
   config.seed_timeout_seconds = 2.5;
   config.seed_retries = 4;
 
-  campaign::CampaignConfig copy =
-      config_from_json(Json::parse(config_to_json(config)));
+  campaign::CampaignConfig copy = campaign::config_from_json(
+      Json::parse(campaign::config_to_json(config)));
   EXPECT_EQ(copy.program_source, config.program_source);
   EXPECT_EQ(copy.spec_text, config.spec_text);
   EXPECT_EQ(copy.approach, config.approach);
@@ -317,19 +347,19 @@ TEST(DistWireTest, EveryMonitorModeRoundTrips) {
         sctc::MonitorMode::kCompiled, sctc::MonitorMode::kBoth}) {
     campaign::CampaignConfig config;
     config.mode = mode;
-    const campaign::CampaignConfig copy =
-        config_from_json(Json::parse(config_to_json(config)));
+    const campaign::CampaignConfig copy = campaign::config_from_json(
+        Json::parse(campaign::config_to_json(config)));
     EXPECT_EQ(copy.mode, mode) << sctc::monitor_mode_name(mode);
   }
 
   // An unknown mode string is a wire error, not a silent default: a broker
   // and a worker disagreeing on the monitor mode would verify different
   // things.
-  std::string json = config_to_json(campaign::CampaignConfig{});
+  std::string json = campaign::config_to_json(campaign::CampaignConfig{});
   const std::size_t at = json.find("\"progression\"");
   ASSERT_NE(at, std::string::npos);
   json.replace(at, std::string("\"progression\"").size(), "\"warp\"");
-  EXPECT_THROW(config_from_json(Json::parse(json)), WireError);
+  EXPECT_THROW(campaign::config_from_json(Json::parse(json)), WireError);
 }
 
 TEST(DistWireTest, SeedResultRoundTripsLosslessly) {
@@ -364,8 +394,8 @@ TEST(DistWireTest, SeedResultRoundTripsLosslessly) {
   result.trace_jsonl = "{\"type\":\"seed_start\",\"seed\":1}\n";
   result.wall_ms = 12.75;
 
-  campaign::SeedResult copy =
-      seed_result_from_json(Json::parse(seed_result_to_json(result)));
+  campaign::SeedResult copy = campaign::seed_result_from_json(
+      Json::parse(campaign::seed_result_to_json(result)));
   EXPECT_EQ(copy.seed, result.seed);
   ASSERT_EQ(copy.properties.size(), 2u);
   EXPECT_EQ(copy.properties[0].verdict, temporal::Verdict::kViolated);
@@ -402,8 +432,8 @@ TEST(DistWireTest, MetricsSnapshotRoundTripRendersIdentically) {
   registry.duration_histogram("d.wall_us").record(123);
   obs::MetricsSnapshot snapshot = registry.snapshot();
 
-  obs::MetricsSnapshot copy =
-      metrics_from_json(Json::parse(metrics_to_json(snapshot)));
+  obs::MetricsSnapshot copy = campaign::metrics_from_json(
+      Json::parse(campaign::metrics_to_json(snapshot)));
   // Byte-identical rendering in both the full and the deterministic form is
   // the property the campaign merge relies on.
   EXPECT_EQ(copy.to_json(true), snapshot.to_json(true));

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc.hpp"
 #include "journal/journal.hpp"
 
 #ifndef ESV_VERIFY_BIN
@@ -321,7 +322,7 @@ TEST(JournalCliTest, ResumeRejectsAnOlderFormatVersionByName) {
   std::string bytes;
   const std::uint32_t length = static_cast<std::uint32_t>(header.size());
   const std::uint32_t crc =
-      esv::journal::crc32(header.data(), header.size());
+      esv::common::crc32(header.data(), header.size());
   for (int i = 0; i < 4; ++i) {
     bytes.push_back(static_cast<char>((length >> (8 * i)) & 0xFF));
   }

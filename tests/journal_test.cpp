@@ -14,6 +14,7 @@
 
 #include "campaign/campaign.hpp"
 #include "chaos/chaos.hpp"
+#include "common/crc.hpp"
 #include "journal/journal.hpp"
 
 namespace esv::journal {
@@ -127,8 +128,8 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 
 TEST(JournalTest, Crc32MatchesKnownAnswer) {
   // The IEEE 802.3 check value: crc32("123456789") == 0xCBF43926.
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(common::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(common::crc32("", 0), 0u);
 }
 
 TEST(JournalTest, ConfigDigestIsStableAndCoversResultFields) {
@@ -286,7 +287,7 @@ TEST(JournalTest, GarbageFileRecoversToNothing) {
 std::string frame_record(const std::string& payload) {
   std::string out;
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
+  const std::uint32_t crc = common::crc32(payload.data(), payload.size());
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<char>((length >> (8 * i)) & 0xFF));
   }

@@ -31,7 +31,7 @@ TEST(PropositionTest, CloneIsIndependentObject) {
   EXPECT_FALSE(c->is_true());  // clones share the wrapped predicate
 }
 
-class FakeMemory : public MemoryReadInterface {
+class FakeMemory : public mem::MemoryReadInterface {
  public:
   std::uint32_t sctc_read_uint(std::uint32_t address) const override {
     auto it = words.find(address);
@@ -242,7 +242,7 @@ TEST(CheckerModeTest, ModeNamesRoundTrip) {
 
 // --- EswMonitor (handshake protocol, Fig. 3) ---------------------------------
 
-class HandshakeMemory : public MemoryReadInterface {
+class HandshakeMemory : public mem::MemoryReadInterface {
  public:
   std::uint32_t sctc_read_uint(std::uint32_t address) const override {
     if (address == kFlagAddress) return flag ? 1 : 0;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "chaos/chaos.hpp"
+#include "common/crc.hpp"
 #include "dist/wire.hpp"
 #include "serve/cache.hpp"
 #include "serve/persist.hpp"
@@ -321,7 +322,7 @@ std::string frame_record(const std::string& payload) {
   std::string out;
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc =
-      esv::journal::crc32(payload.data(), payload.size());
+      esv::common::crc32(payload.data(), payload.size());
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<char>((length >> (8 * i)) & 0xFF));
   }
@@ -488,11 +489,18 @@ TEST(ServeServerTest, MalformedSubmitsAreRejectedNotFatal) {
   EXPECT_NE(rejected.string_or("reason", "").find("protocol version"),
             std::string::npos);
 
+  // 200,000 nested arrays: past the JSON nesting cap, so a rejection rather
+  // than a stack overflow in the daemon.
+  esv::dist::write_frame(fd, std::string(200000, '['));
+  rejected = await_frame(fd, esv::serve::FrameKind::kRejected);
+  EXPECT_NE(rejected.string_or("reason", "").find("nesting"),
+            std::string::npos);
+
   // The connection survived all of it.
   esv::dist::write_frame(fd, esv::serve::make_status_request());
   const esv::dist::Json status =
       await_frame(fd, esv::serve::FrameKind::kStatusReply);
-  EXPECT_EQ(status.u64_or("rejections", 0), 3u);
+  EXPECT_EQ(status.u64_or("rejections", 0), 4u);
   ::close(fd);
 }
 

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "gen/differential.hpp"
 #include "gen/generator.hpp"
 #include "gen/shrink.hpp"
@@ -96,27 +97,6 @@ bool parse_seed_range(const std::string& text, Options& options) {
   return parse_u64(text.substr(0, dots), options.seed_lo) &&
          parse_u64(text.substr(dots + 2), options.seed_hi) &&
          options.seed_hi >= options.seed_lo;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::size_t line_count(const std::string& text) {
@@ -185,7 +165,7 @@ std::filesystem::path write_repro(const Options& options,
        << "  \"shrink_attempts\": " << shrunk.attempts << ",\n"
        << "  \"disagreements\": [\n";
   for (std::size_t i = 0; i < shrunk.disagreements.size(); ++i) {
-    json << "    \"" << json_escape(shrunk.disagreements[i]) << "\""
+    json << "    " << esv::common::json_string(shrunk.disagreements[i])
          << (i + 1 < shrunk.disagreements.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
@@ -193,43 +173,23 @@ std::filesystem::path write_repro(const Options& options,
   return dir;
 }
 
-/// Pulls one JSON field out of repro.json. The file is machine-written by
-/// write_repro, so a string scan is all the parsing this needs.
-bool json_field(const std::string& json, const std::string& key,
-                std::string& out) {
-  const std::size_t at = json.find("\"" + key + "\":");
-  if (at == std::string::npos) return false;
-  std::size_t from = json.find_first_not_of(" \t\n", at + key.size() + 3);
-  if (from == std::string::npos) return false;
-  std::size_t to = json.find_first_of(",\n", from);
-  if (to == std::string::npos) to = json.size();
-  out = json.substr(from, to - from);
-  while (!out.empty() && (out.back() == ' ' || out.back() == '"')) {
-    out.pop_back();
-  }
-  if (!out.empty() && out.front() == '"') out.erase(out.begin());
-  return true;
-}
-
 int reproduce(const Options& options) {
   const std::filesystem::path dir(options.reproduce_dir);
-  const std::string json = read_file(dir / "repro.json");
-  std::string seed_text;
-  std::string config_text;
-  std::string corrupt_text;
-  std::string approach1_text;
-  if (!json_field(json, "seed", seed_text) ||
-      !json_field(json, "config", config_text)) {
-    std::cerr << "esv-fuzz: " << (dir / "repro.json").string()
-              << ": missing seed/config fields\n";
-    return 2;
-  }
-  json_field(json, "corrupt_property", corrupt_text);
-  json_field(json, "approach1", approach1_text);
-
   std::uint64_t seed = 0;
-  if (!parse_u64(seed_text, seed)) {
-    std::cerr << "esv-fuzz: bad seed '" << seed_text << "' in repro.json\n";
+  std::string config_text;
+  esv::gen::DifferentialOptions diff;
+  try {
+    const esv::common::Json json =
+        esv::common::Json::parse(read_file(dir / "repro.json"));
+    seed = json.at("seed").as_u64();
+    config_text = json.at("config").as_string();
+    diff.run_approach1 = json.bool_or("approach1", true);
+    // write_repro records -1 when no corruption was planted.
+    const double corrupt = json.double_or("corrupt_property", -1);
+    if (corrupt >= 0) diff.corrupt_property = static_cast<int>(corrupt);
+  } catch (const esv::common::DecodeError& e) {
+    std::cerr << "esv-fuzz: " << (dir / "repro.json").string() << ": "
+              << e.what() << "\n";
     return 2;
   }
 
@@ -240,17 +200,6 @@ int reproduce(const Options& options) {
               << generator.config().digest()
               << "; the generated program would differ\n";
     return 2;
-  }
-
-  esv::gen::DifferentialOptions diff;
-  diff.run_approach1 = approach1_text != "false";
-  if (!corrupt_text.empty() && corrupt_text != "-1") {
-    std::uint64_t corrupt = 0;
-    if (!parse_u64(corrupt_text, corrupt)) {
-      std::cerr << "esv-fuzz: bad corrupt_property in repro.json\n";
-      return 2;
-    }
-    diff.corrupt_property = static_cast<int>(corrupt);
   }
 
   const esv::gen::GeneratedProgram program = generator.generate(seed);
