@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   FormulaFactory factory;
   FormulaRef formula = parse_fltl(kProperty, factory);
   const ArAutomaton automaton = synthesize(factory, formula);
-  CompiledMonitorPool pool;
-  CompiledMonitor compiled = pool.compile(automaton, factory);
+  CompiledTables tables;
+  CompiledMonitor compiled = tables.compile(automaton, factory);
   AutomatonMonitor table(automaton);
   ProgressionMonitor interpreted(factory, formula);
 
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   json << "  \"property\": \"" << kProperty << "\",\n";
   json << "  \"steps\": " << steps << ",\n";
   json << "  \"ar_states\": " << automaton.state_count() << ",\n";
-  json << "  \"table_entries\": " << pool.table_entries() << ",\n";
+  json << "  \"table_entries\": " << tables.table_entries() << ",\n";
   json << "  \"interpreted_steps_per_second\": "
        << static_cast<std::uint64_t>(interpreted_sps) << ",\n";
   json << "  \"automaton_steps_per_second\": "

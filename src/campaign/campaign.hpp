@@ -4,10 +4,12 @@
 // per run, so confidence comes from running *many* seeds — the campaign-style
 // dynamic verification that statistical model checking of SystemC advocates
 // (Ngo & Legay; Ngo, Legay & Quilbeuf). A campaign fans a seed range out over
-// a pool of worker threads. Each worker owns a fully isolated verification
-// stack — its own mini-C compile, simulation kernel, ESW model (or
-// microprocessor model), stimulus provider, and SCTC — so seeds never share
-// mutable state and the per-seed results are independent of scheduling.
+// a pool of worker threads. Each seed builds its own simulation kernel, ESW
+// model (or microprocessor model), memory, stimulus provider, and SCTC; the
+// compiled program and (in compiled mode) the compiled monitor tables are
+// built once per campaign and only read by the seeds. Seeds thus never
+// share mutable state, and the per-seed results are independent of
+// scheduling.
 //
 // Determinism guarantee: for a fixed (program, spec, approach, mode,
 // max_steps, seed range), the verdict table, per-seed results, and merged
@@ -37,7 +39,9 @@ struct CampaignConfig {
   std::string program_source;  // mini-C source text
   std::string spec_text;       // ESV spec-file text
   int approach = 2;            // 1 = microprocessor model, 2 = derived model
-  sctc::MonitorMode mode = sctc::MonitorMode::kProgression;
+  /// The one default monitor mode; esv-verify and esv-client take theirs
+  /// from here.
+  sctc::MonitorMode mode = sctc::MonitorMode::kCompiled;
   std::uint64_t max_steps = 1'000'000;  // per-seed statement/cycle budget
   std::uint64_t seed_lo = 1;            // inclusive
   std::uint64_t seed_hi = 1;            // inclusive
@@ -203,7 +207,7 @@ struct CampaignReport {
   std::uint64_t seed_lo = 0;
   std::uint64_t seed_hi = 0;
   int approach = 2;
-  sctc::MonitorMode mode = sctc::MonitorMode::kProgression;
+  sctc::MonitorMode mode = CampaignConfig{}.mode;
   std::uint64_t max_steps = 0;
   unsigned jobs = 1;
 

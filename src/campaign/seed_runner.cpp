@@ -4,8 +4,8 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <new>
 #include <fstream>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -89,9 +89,12 @@ void backoff_before_retry(std::uint64_t seed, unsigned attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double>(delay));
 }
 
-/// Immutable per-worker verification stack. Each worker compiles its own
-/// copy of the program so no AST, lowering, or code image is ever shared
-/// between threads (the front end has no synchronization and needs none).
+}  // namespace
+
+/// Built once per campaign and then only read: the interpreter, EswModel and
+/// Cpu take the program, its lowering and its code image by const&, and the
+/// front end keeps no mutable state, so every worker thread runs on this one
+/// copy. Not movable once built: `lowered` and `image` point into `program`.
 struct VerifStack {
   explicit VerifStack(const CampaignConfig& config)
       : program(minic::compile(config.program_source)) {
@@ -101,17 +104,32 @@ struct VerifStack {
       image = cpu::compile_to_image(program);
     }
   }
+  VerifStack(const VerifStack&) = delete;
+  VerifStack& operator=(const VerifStack&) = delete;
 
   minic::Program program;
   std::optional<esw::EswProgram> lowered;  // approach 2
   std::optional<cpu::CodeImage> image;     // approach 1
 };
 
-}  // namespace
+namespace {
 
-struct SeedRunner::Stack : VerifStack {
-  using VerifStack::VerifStack;
-};
+/// The campaign's monitor tables, built by the first seed that asks.
+const sctc::MonitorTables& shared_monitor_tables(const CampaignSetup& setup) {
+  SharedMonitorTables& shared = *setup.monitors;
+  // A throwing build leaves the flag unset, so the next seed tries again.
+  std::call_once(shared.once, [&setup, &shared] {
+    std::vector<sctc::MonitorTables::PropertySource> sources;
+    for (const spec::PropertySpec& property : setup.specfile.properties) {
+      sources.push_back({property.text, property.dialect});
+    }
+    shared.tables = std::make_unique<const sctc::MonitorTables>(
+        setup.proposition_names, sources);
+  });
+  return *shared.tables;
+}
+
+}  // namespace
 
 CampaignSetup prepare_campaign(const CampaignConfig& config) {
   if (config.approach != 1 && config.approach != 2) {
@@ -128,49 +146,47 @@ CampaignSetup prepare_campaign(const CampaignConfig& config) {
     setup.plan.entries.push_back(fault::parse_fault_line(fl.text, fl.line));
   }
 
-  // Probe compile: surfaces program compile errors, unresolvable
-  // propositions, and property parse errors, and fixes the property /
-  // proposition registration order every seed will reproduce.
-  VerifStack probe(config);
-  mem::AddressSpace memory(memory_bytes(probe.program));
+  // The campaign's one front end. Compiling it here surfaces program
+  // compile errors before any seed runs.
+  auto stack = std::make_shared<const VerifStack>(config);
+  const minic::Program& program = stack->program;
+  setup.stack = stack;
+
+  // Property probe: surfaces unresolvable propositions and property parse
+  // errors, and fixes the property / proposition registration order every
+  // seed will reproduce. It synthesizes nothing: progression monitors cost
+  // nothing to build, and a compiled campaign builds its tables on first
+  // use by a seed. Only the automaton mode, whose synthesis limits are
+  // configuration errors, synthesizes here.
+  mem::AddressSpace memory(memory_bytes(program));
   sim::Simulation sim;
-  sctc::TemporalChecker checker(sim, "sctc", config.mode);
-  spec::apply_spec(setup.specfile, probe.program, memory, checker);
+  sctc::TemporalChecker checker(
+      sim, "sctc",
+      config.mode == sctc::MonitorMode::kSynthesizedAutomaton
+          ? config.mode
+          : sctc::MonitorMode::kProgression);
+  spec::apply_spec(setup.specfile, program, memory, checker);
   for (const sctc::PropertyRecord& record : checker.properties()) {
     setup.property_names.push_back(record.name);
   }
   setup.proposition_names = checker.registered_proposition_names();
 
-  // Resolve memory-fault targets once, against the probe compile. Every
-  // worker compiles the identical source, so the addresses are valid for
-  // all of them and resolution errors surface before any worker starts.
-  setup.plan.resolve([&probe](const std::string& name,
-                              std::uint32_t& address) {
-    const minic::GlobalVar* global = probe.program.find_global(name);
+  // Resolve memory-fault targets once, against the campaign's front end,
+  // so resolution errors surface before any worker starts. Worker processes
+  // compile the identical source, so the addresses hold for them too.
+  setup.plan.resolve([&program](const std::string& name,
+                                std::uint32_t& address) {
+    const minic::GlobalVar* global = program.find_global(name);
     if (global == nullptr || global->is_array) return false;
     address = global->address;
     return true;
   });
   if (!setup.plan.empty()) setup.plan_digest = setup.plan.digest();
+  if (config.mode == sctc::MonitorMode::kCompiled) {
+    setup.monitors = std::make_shared<SharedMonitorTables>();
+  }
   return setup;
 }
-
-SeedRunner::SeedRunner(const CampaignConfig& config,
-                       const CampaignSetup& setup)
-    : config_(config), setup_(setup) {
-  // A worker that cannot even build its stack still consumes seeds and
-  // records a structured error per seed, so the campaign always finishes
-  // and sibling workers are unaffected.
-  try {
-    stack_ = std::make_unique<Stack>(config);
-  } catch (const std::exception& e) {
-    stack_error_ = std::string("worker setup failed: ") + e.what();
-  } catch (...) {
-    stack_error_ = "worker setup failed: unknown exception";
-  }
-}
-
-SeedRunner::~SeedRunner() = default;
 
 SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   const auto started = std::chrono::steady_clock::now();
@@ -180,7 +196,7 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   const spec::SpecFile& specfile = setup_.specfile;
   const fault::FaultPlan& plan = setup_.plan;
   const CampaignConfig& config = config_;
-  Stack& stack = *stack_;
+  const VerifStack& stack = *setup_.stack;
 
   // Cooperative wall-clock watchdog. A worker thread cannot be killed, so
   // the deadline is polled from the supervisor; the check runs every 1024
@@ -215,6 +231,9 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
   sim::Simulation sim;
   if (metrics) sim.set_metrics(&*metrics);
   sctc::TemporalChecker checker(sim, "sctc", config.mode);
+  if (setup_.monitors) {
+    checker.use_monitor_tables(&shared_monitor_tables(setup_));
+  }
   if (metrics) checker.set_metrics(&*metrics);
   if (tracing) checker.set_trace(&trace);
   if (faults) {
@@ -395,48 +414,42 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
 
 SeedResult SeedRunner::run_seed(std::uint64_t seed) {
   SeedResult result;
-  if (!stack_) {
-    result.seed = seed;
-    result.error = stack_error_;
-    result.error_kind = "infrastructure";
-  } else {
-    // Bounded retry: only infrastructure errors are retried — a fault of
-    // the software under test is a result, and a timeout would only burn
-    // another full timeout's worth of wall clock.
-    for (unsigned attempt = 0;; ++attempt) {
-      // Timed out here too so attempts that die before run_attempt's own
-      // stamp (a bad_alloc while building the address space, say) still
-      // carry a duration into the report's error capture.
-      const auto attempt_started = std::chrono::steady_clock::now();
-      try {
-        result = run_attempt(seed);
-      } catch (const std::bad_alloc&) {
-        result = SeedResult{};
-        result.seed = seed;
-        classify_bad_alloc(config_, result);
-      } catch (const std::exception& e) {
-        result = SeedResult{};
-        result.seed = seed;
-        result.error = e.what();
-        result.error_kind = "infrastructure";
-      } catch (...) {
-        result = SeedResult{};
-        result.seed = seed;
-        result.error = "unknown exception";
-        result.error_kind = "infrastructure";
-      }
-      if (result.wall_ms == 0.0) {
-        result.wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - attempt_started)
-                             .count();
-      }
-      result.attempts = attempt + 1;
-      if (result.error_kind != "infrastructure" ||
-          attempt >= config_.seed_retries) {
-        break;
-      }
-      backoff_before_retry(seed, attempt);
+  // Bounded retry: only infrastructure errors are retried — a fault of the
+  // software under test is a result, and a timeout would only burn another
+  // full timeout's worth of wall clock.
+  for (unsigned attempt = 0;; ++attempt) {
+    // Timed out here too so attempts that die before run_attempt's own
+    // stamp (a bad_alloc while building the address space, say) still
+    // carry a duration into the report's error capture.
+    const auto attempt_started = std::chrono::steady_clock::now();
+    try {
+      result = run_attempt(seed);
+    } catch (const std::bad_alloc&) {
+      result = SeedResult{};
+      result.seed = seed;
+      classify_bad_alloc(config_, result);
+    } catch (const std::exception& e) {
+      result = SeedResult{};
+      result.seed = seed;
+      result.error = e.what();
+      result.error_kind = "infrastructure";
+    } catch (...) {
+      result = SeedResult{};
+      result.seed = seed;
+      result.error = "unknown exception";
+      result.error_kind = "infrastructure";
     }
+    if (result.wall_ms == 0.0) {
+      result.wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - attempt_started)
+                           .count();
+    }
+    result.attempts = attempt + 1;
+    if (result.error_kind != "infrastructure" ||
+        attempt >= config_.seed_retries) {
+      break;
+    }
+    backoff_before_retry(seed, attempt);
   }
   // Errored seeds in a fault campaign carry the plan digest so the crash
   // report alone pins down the reproducing `--seed=N --faults=...` run.

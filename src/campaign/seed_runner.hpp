@@ -8,10 +8,12 @@
 //
 // Split of responsibilities:
 //   prepare_campaign()    validate the whole configuration once (spec parse,
-//                         fault-plan parse + resolve, property probe); throws
-//                         on configuration errors before any seed runs
-//   SeedRunner            one per worker thread; owns an isolated
-//                         verification stack and runs seeds with the bounded
+//                         fault-plan parse + resolve, property probe) and
+//                         build the campaign's one front end; throws on
+//                         configuration errors before any seed runs
+//   SeedRunner            one per worker thread; runs seeds on the shared
+//                         front end (and, in compiled mode, the shared
+//                         monitor tables) with the bounded
 //                         infrastructure-retry policy
 //   make_report_skeleton  the config-echo half of a CampaignReport
 //   finalize_report       deterministic aggregation over report.seeds in
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "campaign/campaign.hpp"
@@ -28,8 +31,20 @@
 
 namespace esv::campaign {
 
+/// The compiled program of a campaign: the mini-C AST and its lowering
+/// (approach 2) or code image (approach 1). Defined in seed_runner.cpp.
+struct VerifStack;
+/// The campaign's compiled-mode monitor tables: empty until the first seed
+/// that needs them builds them, once, under `once`; read-only after that.
+struct SharedMonitorTables {
+  std::once_flag once;
+  std::unique_ptr<const sctc::MonitorTables> tables;
+};
+
 /// Validated, immutable, shareable campaign state. One instance serves every
-/// worker thread of a process; workers never mutate it.
+/// worker thread of a process. Workers only read it; the one exception is
+/// `monitors`, which the first seed that needs the tables fills, once and
+/// under std::call_once.
 struct CampaignSetup {
   spec::SpecFile specfile;
   fault::FaultPlan plan;  // merged --faults + spec fault lines, resolved
@@ -39,22 +54,28 @@ struct CampaignSetup {
   /// Stamped into SeedResult::fault_plan_digest of every errored seed so a
   /// crash report names the exact plan needed to reproduce it.
   std::string plan_digest;
+  /// The one front end: every seed's interpreter or CPU reads it.
+  std::shared_ptr<const VerifStack> stack;
+  /// kCompiled only (null otherwise): one synthesis and compilation of the
+  /// spec's properties per campaign, shared by every seed.
+  std::shared_ptr<SharedMonitorTables> monitors;
 };
 
 /// Validates the configuration (approach, seed range, spec, program, fault
 /// plan) and resolves everything that can fail before a single seed runs.
 /// Throws spec::SpecError, minic::SemaError, fault::FaultPlanError,
-/// std::invalid_argument, ... on configuration errors.
+/// std::invalid_argument, ... on configuration errors. Outside automaton
+/// mode it synthesizes nothing: the property probe only parses and resolves
+/// names.
 CampaignSetup prepare_campaign(const CampaignConfig& config);
 
-/// One per worker thread. Construction compiles a private copy of the
-/// program (no AST, lowering, or code image is ever shared between threads);
-/// a construction failure is latched and reported per seed as an
-/// infrastructure error instead of thrown, so sibling workers are unaffected.
+/// One per worker thread. Construction is free: seeds run on the setup's
+/// shared front end, which no seed writes. Each seed builds its own memory,
+/// simulation, stimulus and checker.
 class SeedRunner {
  public:
-  SeedRunner(const CampaignConfig& config, const CampaignSetup& setup);
-  ~SeedRunner();
+  SeedRunner(const CampaignConfig& config, const CampaignSetup& setup)
+      : config_(config), setup_(setup) {}
   SeedRunner(const SeedRunner&) = delete;
   SeedRunner& operator=(const SeedRunner&) = delete;
 
@@ -64,13 +85,10 @@ class SeedRunner {
   SeedResult run_seed(std::uint64_t seed);
 
  private:
-  struct Stack;
   SeedResult run_attempt(std::uint64_t seed);
 
   const CampaignConfig& config_;
   const CampaignSetup& setup_;
-  std::unique_ptr<Stack> stack_;
-  std::string stack_error_;
 };
 
 /// Fills the configuration-echo fields of a report (seed range, approach,

@@ -71,12 +71,13 @@ bool MemoryWordProposition::is_true() {
   return compare(memory_->sctc_read_uint(address_), op_, value_);
 }
 
-temporal::Verdict PropertyRecord::verdict() const {
+temporal::Verdict TemporalChecker::monitor_verdict(
+    const PropertyRecord& record) {
   // In kBoth mode the interpreted monitor is the oracle, so progression is
   // consulted first; compiled alone answers in kCompiled mode.
-  if (progression) return progression->verdict();
-  if (automaton_monitor) return automaton_monitor->verdict();
-  if (compiled.valid()) return compiled.verdict();
+  if (record.progression) return record.progression->verdict();
+  if (record.automaton_monitor) return record.automaton_monitor->verdict();
+  if (record.compiled.valid()) return record.compiled.verdict();
   return temporal::Verdict::kPending;
 }
 
@@ -128,7 +129,9 @@ std::size_t TemporalChecker::add_property(const std::string& name,
   record.formula = temporal::parse_property(text, dialect, factory_);
 
   // Every proposition must be backed by a registered evaluator.
-  for (int prop_index : factory_.collect_prop_indices(record.formula)) {
+  const std::vector<int> prop_indices =
+      factory_.collect_prop_indices(record.formula);
+  for (int prop_index : prop_indices) {
     const auto idx = static_cast<std::size_t>(prop_index);
     if (idx >= propositions_by_index_.size() ||
         propositions_by_index_[idx] == nullptr) {
@@ -150,16 +153,34 @@ std::size_t TemporalChecker::add_property(const std::string& name,
     record.automaton_monitor =
         std::make_unique<temporal::AutomatonMonitor>(*record.automaton);
   }
-  if (mode_ == MonitorMode::kCompiled || mode_ == MonitorMode::kBoth) {
-    // Synthesize, lower into the pool's flat arenas, and drop the source
-    // automaton: the compiled tables are self-contained.
-    const temporal::ArAutomaton automaton =
-        temporal::synthesize(factory_, record.formula);
-    record.automaton_states = automaton.state_count();
-    record.compiled = compiled_pool_.compile(automaton, factory_);
+  if (mode_ == MonitorMode::kCompiled && shared_tables_ != nullptr) {
+    const MonitorTables::Property& shared = shared_tables_->match(
+        properties_.size(), text, dialect, factory_, prop_indices);
+    record.compiled = shared.initial;
+    record.automaton_states = shared.automaton_states;
+  } else if (mode_ == MonitorMode::kCompiled || mode_ == MonitorMode::kBoth) {
+    // Synthesize, lower into this checker's flat arenas, and drop the
+    // source automaton: the compiled tables are self-contained.
+    record.compiled = temporal::compile_or_fallback(
+        factory_, record.formula, compiled_tables_, record.automaton_states);
   }
+  if (mode_ == MonitorMode::kCompiled && !record.compiled.valid()) {
+    record.progression = std::make_unique<temporal::ProgressionMonitor>(
+        factory_, record.formula);
+  }
+  if (record.progression || record.automaton_monitor) needs_valuation_ = true;
+  record.reported = monitor_verdict(record);
+  if (record.reported == temporal::Verdict::kPending) ++pending_;
   properties_.push_back(std::move(record));
   return properties_.size() - 1;
+}
+
+void TemporalChecker::use_monitor_tables(const MonitorTables* tables) {
+  if (mode_ != MonitorMode::kCompiled) {
+    throw std::logic_error("use_monitor_tables: checker is not in " +
+                           std::string(monitor_mode_name(mode_)) + " mode");
+  }
+  shared_tables_ = tables;
 }
 
 void TemporalChecker::bind_trigger(sim::Event& trigger) {
@@ -227,19 +248,34 @@ temporal::PropValuation TemporalChecker::make_valuation() {
 void TemporalChecker::set_witness_depth(std::size_t depth) {
   witness_depth_ = depth;
   witness_.clear();
+  witness_next_ = 0;
 }
 
 void TemporalChecker::record_witness() {
   if (witness_depth_ == 0) return;
-  WitnessStep step;
-  step.step = steps_;
-  step.time = sim_.now();
-  step.values.reserve(value_cache_.size());
-  for (char v : value_cache_) step.values.push_back(v != 0);
-  witness_.push_back(std::move(step));
-  if (witness_.size() > witness_depth_) {
-    witness_.erase(witness_.begin());
+  WitnessStep* slot = nullptr;
+  if (witness_.size() < witness_depth_) {
+    slot = &witness_.emplace_back();
+  } else {
+    // Full: overwrite the oldest slot in place, reusing its value storage.
+    slot = &witness_[witness_next_];
+    witness_next_ = (witness_next_ + 1) % witness_depth_;
   }
+  slot->step = steps_;
+  slot->time = sim_.now();
+  slot->values.resize(value_cache_.size());
+  for (std::size_t i = 0; i < value_cache_.size(); ++i) {
+    slot->values[i] = value_cache_[i] != 0;
+  }
+}
+
+std::vector<TemporalChecker::WitnessStep> TemporalChecker::witness() const {
+  std::vector<WitnessStep> ordered;
+  ordered.reserve(witness_.size());
+  for (std::size_t i = 0; i < witness_.size(); ++i) {
+    ordered.push_back(witness_[(witness_next_ + i) % witness_.size()]);
+  }
+  return ordered;
 }
 
 std::string TemporalChecker::witness_table() const {
@@ -248,9 +284,10 @@ std::string TemporalChecker::witness_table() const {
     out << "(no witness recorded; call set_witness_depth first)\n";
     return out.str();
   }
+  const std::vector<WitnessStep> steps = witness();
   // Header: one row per proposition, one column per recorded step.
   out << "step:";
-  for (const WitnessStep& w : witness_) out << " " << w.step;
+  for (const WitnessStep& w : steps) out << " " << w.step;
   out << "\n";
   for (int i = 0; i < factory_.prop_count(); ++i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -259,12 +296,40 @@ std::string TemporalChecker::witness_table() const {
       continue;
     }
     out << "  " << factory_.prop_name(i) << ":";
-    for (const WitnessStep& w : witness_) {
+    for (const WitnessStep& w : steps) {
       out << " " << (idx < w.values.size() && w.values[idx] ? "1" : ".");
     }
     out << "\n";
   }
   return out.str();
+}
+
+void TemporalChecker::compare_lockstep(PropertyRecord& record,
+                                       temporal::Verdict oracle) {
+  // Lockstep differential oracle: the compiled fast path must follow the
+  // interpreted monitor transition for transition — same verdict and the
+  // same pending obligation (compiled states map back to hash-consed
+  // obligation formulas, so pointer equality is exact). The first mismatch
+  // per property is recorded; verdicts stay the oracle's.
+  const temporal::Verdict compiled_verdict = record.compiled.step(prop_word_);
+  if (record.diverged ||
+      (compiled_verdict == oracle &&
+       record.compiled.obligation() == record.progression->current())) {
+    return;
+  }
+  record.diverged = true;
+  std::ostringstream detail;
+  detail << "property " << record.name << " diverged at step " << steps_
+         << ": interpreted " << temporal::to_string(oracle) << " \""
+         << record.progression->current()->to_string() << "\" vs compiled "
+         << temporal::to_string(compiled_verdict) << " state "
+         << record.compiled.state() << " \""
+         << record.compiled.obligation()->to_string() << "\"";
+  divergences_.push_back(detail.str());
+  if (m_divergences_ != nullptr) m_divergences_->add();
+  if (trace_ != nullptr) {
+    trace_->monitor_divergence(steps_, record.name, divergences_.back());
+  }
 }
 
 void TemporalChecker::step_all() {
@@ -273,42 +338,16 @@ void TemporalChecker::step_all() {
   evaluate_propositions();
   record_witness();
   // Compiled monitors read prop_word_ directly; the closure-based valuation
-  // is only materialized for the modes that interpret formulas.
+  // is only materialized when some property interprets its formula.
   temporal::PropValuation valuation;
-  if (mode_ != MonitorMode::kCompiled) valuation = make_valuation();
+  if (needs_valuation_) valuation = make_valuation();
   bool violated_now = false;
   for (PropertyRecord& record : properties_) {
-    if (record.verdict() != temporal::Verdict::kPending) continue;
+    if (record.reported != temporal::Verdict::kPending) continue;
     temporal::Verdict v;
-    if (mode_ == MonitorMode::kBoth) {
-      // Lockstep differential oracle: the compiled fast path must follow the
-      // interpreted monitor transition for transition — same verdict and the
-      // same pending obligation (compiled states map back to hash-consed
-      // obligation formulas, so pointer equality is exact). The first
-      // mismatch per property is recorded; verdicts stay the oracle's.
+    if (record.progression) {
       v = record.progression->step(valuation);
-      const temporal::Verdict compiled_verdict =
-          record.compiled.step(prop_word_);
-      if (!record.diverged &&
-          (compiled_verdict != v ||
-           record.compiled.obligation() != record.progression->current())) {
-        record.diverged = true;
-        std::ostringstream detail;
-        detail << "property " << record.name << " diverged at step " << steps_
-               << ": interpreted " << temporal::to_string(v) << " \""
-               << record.progression->current()->to_string()
-               << "\" vs compiled "
-               << temporal::to_string(compiled_verdict) << " state "
-               << record.compiled.state() << " \""
-               << record.compiled.obligation()->to_string() << "\"";
-        divergences_.push_back(detail.str());
-        if (m_divergences_ != nullptr) m_divergences_->add();
-        if (trace_ != nullptr) {
-          trace_->monitor_divergence(steps_, record.name, divergences_.back());
-        }
-      }
-    } else if (record.progression) {
-      v = record.progression->step(valuation);
+      if (record.compiled.valid()) compare_lockstep(record, v);  // kBoth
     } else if (record.automaton_monitor) {
       v = record.automaton_monitor->step(valuation);
     } else {
@@ -325,6 +364,8 @@ void TemporalChecker::step_all() {
       }
     }
     if (v != temporal::Verdict::kPending) {
+      record.reported = v;
+      --pending_;
       record.decided_at_step = steps_;
       record.decided_at_time = sim_.now();
       if (v == temporal::Verdict::kViolated) violated_now = true;
@@ -375,6 +416,7 @@ void TemporalChecker::reset_monitors() {
   steps_ = 0;
   prop_word_ = 0;
   divergences_.clear();
+  pending_ = 0;
   for (std::uint64_t& count : true_counts_) count = 0;
   for (PropertyRecord& record : properties_) {
     if (record.progression) record.progression->reset();
@@ -384,6 +426,8 @@ void TemporalChecker::reset_monitors() {
     record.decided_at_step = 0;
     record.decided_at_time = sim::Time::zero();
     record.traced_state = UINT32_MAX;
+    record.reported = monitor_verdict(record);
+    if (record.reported == temporal::Verdict::kPending) ++pending_;
   }
 }
 
@@ -395,14 +439,6 @@ void TemporalChecker::corrupt_compiled_for_test(std::size_t property_index,
         "corrupt_compiled_for_test: property has no compiled monitor");
   }
   record.compiled.corrupt_state_for_test(state);
-}
-
-std::size_t TemporalChecker::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& r : properties_) {
-    if (r.verdict() == temporal::Verdict::kPending) ++n;
-  }
-  return n;
 }
 
 std::size_t TemporalChecker::validated_count() const {

@@ -20,12 +20,20 @@
 //                            propositions are evaluated once per step into a
 //                            uint64_t word, each monitor step is one dense
 //                            state x word-class lookup, and steady-state
-//                            stepping performs zero heap allocations.
+//                            stepping performs zero heap allocations. The
+//                            tables can be built once and shared by many
+//                            checkers (use_monitor_tables). The default
+//                            mode of campaigns and esv-verify.
 //   kBoth                  — interpreted and compiled monitors run in
 //                            lockstep; any verdict or obligation divergence
 //                            between them is recorded as a first-class
 //                            monitor error (docs/MONITORS.md). The verdicts
 //                            reported are the interpreted oracle's.
+//
+// kCompiled and kBoth monitor a property by progression alone when its
+// synthesis or compilation hits a limit (more than 16 propositions, more
+// than 2M automaton states, or a proposition index beyond the 64-bit word);
+// the verdicts are the same either way.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +45,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sctc/monitor_tables.hpp"
 #include "sctc/proposition.hpp"
 #include "sim/kernel.hpp"
 #include "sim/module.hpp"
@@ -97,7 +106,7 @@ struct PropertyRecord {
   // Active monitors depend on the checker's mode: progression alone
   // (kProgression), automaton + automaton_monitor (kSynthesizedAutomaton),
   // compiled alone (kCompiled), or progression + compiled in lockstep
-  // (kBoth).
+  // (kBoth). A property whose compilation fell back has progression alone.
   std::unique_ptr<temporal::ProgressionMonitor> progression;
   std::unique_ptr<temporal::ArAutomaton> automaton;
   std::unique_ptr<temporal::AutomatonMonitor> automaton_monitor;
@@ -111,12 +120,15 @@ struct PropertyRecord {
   std::uint64_t decided_at_step = 0;
   /// Simulation time when the verdict became final.
   sim::Time decided_at_time;
-  /// AR-automaton size (synthesized mode only).
+  /// AR-automaton size (synthesized and compiled modes; 0 on a fallback).
   std::size_t automaton_states = 0;
   /// Last AR-automaton state id written to the trace (tracing only).
   std::uint32_t traced_state = UINT32_MAX;
+  /// The reported verdict, kept by the checker: the oracle's in kBoth mode,
+  /// otherwise the active monitor's.
+  temporal::Verdict reported = temporal::Verdict::kPending;
 
-  temporal::Verdict verdict() const;
+  temporal::Verdict verdict() const { return reported; }
 };
 
 class TemporalChecker : public sim::Module {
@@ -139,8 +151,19 @@ class TemporalChecker : public sim::Module {
   /// Parses and instantiates a property monitor. Every proposition the
   /// property mentions must already be registered (throws std::runtime_error
   /// otherwise). Returns the property index.
+  ///
+  /// In kCompiled mode with tables attached (use_monitor_tables) the
+  /// monitor is a run over the shared tables; otherwise the property is
+  /// synthesized and compiled here.
   std::size_t add_property(const std::string& name, const std::string& text,
                            temporal::Dialect dialect = temporal::Dialect::kFltl);
+
+  /// kCompiled only: properties added from now on run on `tables` instead
+  /// of being synthesized per checker. Property i of this checker must be
+  /// property i of the tables, over the same proposition indices (throws
+  /// std::logic_error from add_property otherwise). The tables must outlive
+  /// the checker.
+  void use_monitor_tables(const MonitorTables* tables);
 
   /// Binds the checker to a trigger event: a method process steps all
   /// monitors every time the event fires.
@@ -186,11 +209,11 @@ class TemporalChecker : public sim::Module {
   // --- results ---
   const std::vector<PropertyRecord>& properties() const { return properties_; }
   std::uint64_t steps() const { return steps_; }
-  std::size_t pending_count() const;
+  std::size_t pending_count() const { return pending_; }
   std::size_t validated_count() const;
   std::size_t violated_count() const;
   bool any_violated() const { return violated_count() > 0; }
-  bool all_decided() const { return pending_count() == 0; }
+  bool all_decided() const { return pending_ == 0; }
 
   /// Multi-line result table.
   std::string report() const;
@@ -214,7 +237,8 @@ class TemporalChecker : public sim::Module {
   // --- witness traces ---
   /// Keeps a ring buffer of the last `depth` proposition valuations (0
   /// disables, the default). When a property is violated, the buffer shows
-  /// the steps leading into the violation.
+  /// the steps leading into the violation. Once full, recording a step
+  /// overwrites the oldest slot in place and allocates nothing.
   void set_witness_depth(std::size_t depth);
   /// One recorded step: (step number, proposition values by factory index).
   struct WitnessStep {
@@ -222,7 +246,8 @@ class TemporalChecker : public sim::Module {
     sim::Time time;
     std::vector<bool> values;
   };
-  const std::vector<WitnessStep>& witness() const { return witness_; }
+  /// The recorded steps, oldest first (a copy of the ring).
+  std::vector<WitnessStep> witness() const;
   /// Renders the witness buffer as a small waveform-style table.
   std::string witness_table() const;
 
@@ -230,10 +255,14 @@ class TemporalChecker : public sim::Module {
   temporal::PropValuation make_valuation();
   void evaluate_propositions();
   void record_witness();
+  void compare_lockstep(PropertyRecord& record, temporal::Verdict oracle);
+  /// The verdict of the record's active monitor (the oracle's in kBoth).
+  static temporal::Verdict monitor_verdict(const PropertyRecord& record);
 
   MonitorMode mode_;
   temporal::FormulaFactory factory_;
-  temporal::CompiledMonitorPool compiled_pool_;  // kCompiled / kBoth arenas
+  temporal::CompiledTables compiled_tables_;  // this checker's own tables
+  const MonitorTables* shared_tables_ = nullptr;
   std::vector<std::unique_ptr<Proposition>> propositions_by_index_;
   std::vector<PropertyRecord> properties_;
   std::vector<char> value_cache_;  // per-step proposition values
@@ -241,9 +270,12 @@ class TemporalChecker : public sim::Module {
   std::vector<std::uint64_t> true_counts_;  // per-proposition steps-true
   std::vector<std::string> divergences_;    // kBoth oracle mismatches
   std::uint64_t steps_ = 0;
+  std::size_t pending_ = 0;  // properties whose reported verdict is pending
+  bool needs_valuation_ = false;  // some property runs an interpreted monitor
   bool stop_on_violation_ = false;
   std::size_t witness_depth_ = 0;
-  std::vector<WitnessStep> witness_;
+  std::vector<WitnessStep> witness_;  // ring, oldest at witness_next_
+  std::size_t witness_next_ = 0;
 
   // Observability sinks (all optional; cached counters avoid registry
   // lookups on the hot path).

@@ -5,8 +5,8 @@
 
 namespace esv::temporal {
 
-CompiledMonitor CompiledMonitorPool::compile(const ArAutomaton& automaton,
-                                             const FormulaFactory& factory) {
+CompiledMonitor CompiledTables::compile(const ArAutomaton& automaton,
+                                        const FormulaFactory& factory) {
   const std::vector<int>& props = automaton.prop_indices();
   for (int prop_index : props) {
     if (prop_index < 0 || prop_index >= kMaxPropWordBits) {
@@ -32,8 +32,6 @@ CompiledMonitor CompiledMonitorPool::compile(const ArAutomaton& automaton,
   entry.bits_off = static_cast<std::uint32_t>(bit_sources_.size());
   entry.bit_count = static_cast<std::uint32_t>(props.size());
   entry.initial = automaton.initial();
-  entry.state = automaton.initial();
-  entry.state_count = static_cast<std::uint32_t>(state_count);
 
   for (int prop_index : props) {
     bit_sources_.push_back(static_cast<std::uint8_t>(prop_index));
@@ -65,12 +63,23 @@ CompiledMonitor CompiledMonitorPool::compile(const ArAutomaton& automaton,
 
   entries_.push_back(entry);
   return CompiledMonitor(this,
-                         static_cast<std::uint32_t>(entries_.size() - 1));
+                         static_cast<std::uint32_t>(entries_.size() - 1),
+                         entry.initial);
 }
 
-void CompiledMonitorPool::corrupt_state_for_test(std::uint32_t id,
-                                                 std::uint32_t state) {
-  entries_.at(id).state = state;
+CompiledMonitor compile_or_fallback(FormulaFactory& factory,
+                                    FormulaRef formula, CompiledTables& tables,
+                                    std::size_t& automaton_states) {
+  automaton_states = 0;
+  try {
+    const ArAutomaton automaton = synthesize(factory, formula);
+    CompiledMonitor monitor = tables.compile(automaton, factory);
+    automaton_states = automaton.state_count();
+    return monitor;
+  } catch (const SynthesisLimitError&) {
+  } catch (const CompileError&) {
+  }
+  return CompiledMonitor();
 }
 
 }  // namespace esv::temporal

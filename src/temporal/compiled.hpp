@@ -12,11 +12,13 @@
 //     word into a *word class* — the local assignment index over just the
 //     propositions the property mentions — and takes one dense table lookup:
 //     next = table[state << bit_count | class].
-//   - All monitors of a run live in one CompiledMonitorPool: transition
-//     rows, per-state verdicts, end-of-trace verdicts, and gather specs are
-//     arena-allocated in flat contiguous arrays. Stepping performs zero heap
-//     allocations in steady state (asserted under a counting allocator in
-//     tests/monitor_compile_test.cpp).
+//   - The tables of any number of monitors live in one CompiledTables:
+//     transition rows, per-state verdicts, end-of-trace verdicts, and gather
+//     specs are arena-allocated in flat contiguous arrays. Once built they
+//     are only read, so any number of runs (threads) step through the same
+//     tables at once. A run's own state is a CompiledMonitor: a state index
+//     and a step count. Stepping performs zero heap allocations (asserted
+//     under a counting allocator in tests/monitor_compile_test.cpp).
 //
 // State numbering is preserved exactly from the source ArAutomaton, so a
 // compiled monitor's state ids are directly comparable with AutomatonMonitor
@@ -48,16 +50,16 @@ class CompileError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class CompiledMonitorPool;
+class CompiledTables;
 
-/// Lightweight handle to one compiled monitor inside a pool. Copyable; all
-/// state (including the current automaton state) lives in the pool's flat
-/// arrays, so copies alias the same monitor.
+/// One run of a compiled monitor: the current automaton state and a step
+/// count, stepped against tables it only reads. Copies are independent runs
+/// of the same monitor; the tables must outlive every copy.
 class CompiledMonitor {
  public:
   CompiledMonitor() = default;
 
-  bool valid() const { return pool_ != nullptr; }
+  bool valid() const { return tables_ != nullptr; }
 
   /// Advances by one step on the given proposition word. No-op once decided
   /// (the sinks self-loop). Never allocates.
@@ -68,49 +70,50 @@ class CompiledMonitor {
   inline Verdict verdict_at_end() const;
   /// Current automaton state id (identical numbering to the source
   /// ArAutomaton).
-  inline std::uint32_t state() const;
+  std::uint32_t state() const { return state_; }
   /// The pending obligation formula of the current state — the compiled
   /// counterpart of ProgressionMonitor::current(), used by the differential
-  /// oracle for transition-level lockstep comparison.
+  /// oracle for transition-level lockstep comparison. It belongs to the
+  /// factory the tables were compiled with.
   inline FormulaRef obligation() const;
-  inline std::uint64_t steps() const;
+  std::uint64_t steps() const { return steps_; }
   inline void reset();
-  /// Test hook: forces the monitor into an arbitrary state (see
-  /// CompiledMonitorPool::corrupt_state_for_test).
-  inline void corrupt_state_for_test(std::uint32_t state);
+  /// Test hook: forces this run into an arbitrary state so the `both`
+  /// mode's divergence reporting can be exercised (a correct build never
+  /// diverges on its own).
+  void corrupt_state_for_test(std::uint32_t state) { state_ = state; }
 
  private:
-  friend class CompiledMonitorPool;
-  CompiledMonitor(CompiledMonitorPool* pool, std::uint32_t id)
-      : pool_(pool), id_(id) {}
+  friend class CompiledTables;
+  CompiledMonitor(const CompiledTables* tables, std::uint32_t id,
+                  std::uint32_t initial)
+      : tables_(tables), id_(id), state_(initial) {}
 
-  CompiledMonitorPool* pool_ = nullptr;
+  const CompiledTables* tables_ = nullptr;
   std::uint32_t id_ = 0;
+  std::uint32_t state_ = 0;
+  std::uint64_t steps_ = 0;
 };
 
-/// Arena for a run's compiled monitors. compile() may grow the arenas (and
-/// is therefore not for the hot path); step() touches only preallocated
-/// flat storage.
-class CompiledMonitorPool {
+/// Arena for the tables of any number of compiled monitors. compile() may
+/// grow the arenas (and is therefore not for the hot path, nor for use while
+/// other threads step); stepping only reads them.
+class CompiledTables {
  public:
-  CompiledMonitorPool() = default;
-  CompiledMonitorPool(const CompiledMonitorPool&) = delete;
-  CompiledMonitorPool& operator=(const CompiledMonitorPool&) = delete;
+  CompiledTables() = default;
+  CompiledTables(const CompiledTables&) = delete;
+  CompiledTables& operator=(const CompiledTables&) = delete;
 
-  /// Lowers a synthesized automaton into the pool. `factory` resolves the
-  /// end-of-trace verdict of every state's obligation. Throws CompileError
-  /// if the automaton reads a proposition index >= kMaxPropWordBits.
+  /// Lowers a synthesized automaton into the tables and returns a run of it
+  /// at its initial state. `factory` resolves the end-of-trace verdict of
+  /// every state's obligation. Throws CompileError if the automaton reads a
+  /// proposition index >= kMaxPropWordBits.
   CompiledMonitor compile(const ArAutomaton& automaton,
                           const FormulaFactory& factory);
 
   std::size_t monitor_count() const { return entries_.size(); }
   /// Total dense transition-table entries across all monitors (diagnostics).
   std::size_t table_entries() const { return table_.size(); }
-
-  /// Test hook: forces the monitor into an arbitrary state so the `both`
-  /// mode's divergence reporting can be exercised (a correct build never
-  /// diverges on its own).
-  void corrupt_state_for_test(std::uint32_t id, std::uint32_t state);
 
  private:
   friend class CompiledMonitor;
@@ -121,14 +124,11 @@ class CompiledMonitorPool {
     std::uint32_t bits_off = 0;    // into bit_sources_
     std::uint32_t bit_count = 0;   // propositions gathered from the word
     std::uint32_t initial = 0;
-    std::uint32_t state = 0;
-    std::uint32_t state_count = 0;
-    std::uint64_t steps = 0;
   };
 
-  // Flat arenas shared by every monitor in the pool. table_ holds each
-  // monitor's dense `state x class -> state` rows back to back; the three
-  // per-state arrays are index-aligned at state_base + state.
+  // Flat arenas shared by every monitor. table_ holds each monitor's dense
+  // `state x class -> state` rows back to back; the three per-state arrays
+  // are index-aligned at state_base + state.
   std::vector<std::uint32_t> table_;
   std::vector<std::uint8_t> verdicts_;      // Verdict per state
   std::vector<std::uint8_t> end_verdicts_;  // Verdict if the trace ends here
@@ -137,54 +137,50 @@ class CompiledMonitorPool {
   std::vector<Entry> entries_;
 };
 
+/// Synthesizes `formula` and lowers the automaton into `tables`. When
+/// synthesis or compilation hits a limit (SynthesisLimitError: too many
+/// propositions or states; CompileError: a proposition index beyond the
+/// word) it returns an invalid monitor instead of throwing, so the caller
+/// can monitor that one property by progression, with identical verdicts.
+/// `automaton_states` receives the automaton size, 0 on a fallback.
+CompiledMonitor compile_or_fallback(FormulaFactory& factory,
+                                    FormulaRef formula, CompiledTables& tables,
+                                    std::size_t& automaton_states);
+
 inline Verdict CompiledMonitor::step(PropWord word) {
-  CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  const std::uint8_t* verdicts = pool_->verdicts_.data() + e.state_base;
-  if (static_cast<Verdict>(verdicts[e.state]) != Verdict::kPending) {
-    return static_cast<Verdict>(verdicts[e.state]);
+  const CompiledTables::Entry& e = tables_->entries_[id_];
+  const std::uint8_t* verdicts = tables_->verdicts_.data() + e.state_base;
+  if (static_cast<Verdict>(verdicts[state_]) != Verdict::kPending) {
+    return static_cast<Verdict>(verdicts[state_]);
   }
-  ++e.steps;
-  const std::uint8_t* bits = pool_->bit_sources_.data() + e.bits_off;
+  ++steps_;
+  const std::uint8_t* bits = tables_->bit_sources_.data() + e.bits_off;
   std::uint32_t word_class = 0;
   for (std::uint32_t i = 0; i < e.bit_count; ++i) {
     word_class |= static_cast<std::uint32_t>(word >> bits[i] & 1u) << i;
   }
-  e.state =
-      pool_->table_[e.table_off + (e.state << e.bit_count) + word_class];
-  return static_cast<Verdict>(verdicts[e.state]);
+  state_ = tables_->table_[e.table_off + (state_ << e.bit_count) + word_class];
+  return static_cast<Verdict>(verdicts[state_]);
 }
 
 inline Verdict CompiledMonitor::verdict() const {
-  const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  return static_cast<Verdict>(pool_->verdicts_[e.state_base + e.state]);
+  const CompiledTables::Entry& e = tables_->entries_[id_];
+  return static_cast<Verdict>(tables_->verdicts_[e.state_base + state_]);
 }
 
 inline Verdict CompiledMonitor::verdict_at_end() const {
-  const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  return static_cast<Verdict>(pool_->end_verdicts_[e.state_base + e.state]);
-}
-
-inline std::uint32_t CompiledMonitor::state() const {
-  return pool_->entries_[id_].state;
+  const CompiledTables::Entry& e = tables_->entries_[id_];
+  return static_cast<Verdict>(tables_->end_verdicts_[e.state_base + state_]);
 }
 
 inline FormulaRef CompiledMonitor::obligation() const {
-  const CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  return pool_->obligations_[e.state_base + e.state];
-}
-
-inline std::uint64_t CompiledMonitor::steps() const {
-  return pool_->entries_[id_].steps;
+  const CompiledTables::Entry& e = tables_->entries_[id_];
+  return tables_->obligations_[e.state_base + state_];
 }
 
 inline void CompiledMonitor::reset() {
-  CompiledMonitorPool::Entry& e = pool_->entries_[id_];
-  e.state = e.initial;
-  e.steps = 0;
-}
-
-inline void CompiledMonitor::corrupt_state_for_test(std::uint32_t state) {
-  pool_->corrupt_state_for_test(id_, state);
+  state_ = tables_->entries_[id_].initial;
+  steps_ = 0;
 }
 
 }  // namespace esv::temporal

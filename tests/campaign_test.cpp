@@ -107,7 +107,9 @@ TEST(CampaignTest, DeterministicAcrossJobsCountsAutomatonMode) {
 }
 
 TEST(CampaignTest, CompiledAndBothModesMatchInterpretedVerdicts) {
-  const CampaignReport interpreted = run(blinker_config(1, 8, 2));
+  CampaignConfig interpreted_config = blinker_config(1, 8, 2);
+  interpreted_config.mode = sctc::MonitorMode::kProgression;
+  const CampaignReport interpreted = run(interpreted_config);
   for (const sctc::MonitorMode mode :
        {sctc::MonitorMode::kCompiled, sctc::MonitorMode::kBoth}) {
     CampaignConfig config = blinker_config(1, 8, 2);

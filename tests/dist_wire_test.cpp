@@ -356,9 +356,9 @@ TEST(DistWireTest, EveryMonitorModeRoundTrips) {
   // and a worker disagreeing on the monitor mode would verify different
   // things.
   std::string json = campaign::config_to_json(campaign::CampaignConfig{});
-  const std::size_t at = json.find("\"progression\"");
+  const std::size_t at = json.find("\"compiled\"");
   ASSERT_NE(at, std::string::npos);
-  json.replace(at, std::string("\"progression\"").size(), "\"warp\"");
+  json.replace(at, std::string("\"compiled\"").size(), "\"warp\"");
   EXPECT_THROW(campaign::config_from_json(Json::parse(json)), WireError);
 }
 

@@ -81,14 +81,14 @@ TEST(CompiledTableTest, LayoutMatchesSourceAutomaton) {
   FormulaRef formula = parse_fltl("G (req -> F[2] ack)", factory);
   const ArAutomaton automaton = synthesize(factory, formula);
 
-  CompiledMonitorPool pool;
-  CompiledMonitor monitor = pool.compile(automaton, factory);
+  CompiledTables tables;
+  CompiledMonitor monitor = tables.compile(automaton, factory);
 
   EXPECT_TRUE(monitor.valid());
-  EXPECT_EQ(pool.monitor_count(), 1u);
+  EXPECT_EQ(tables.monitor_count(), 1u);
   // Dense rows: one entry per (state, assignment) pair, 2 propositions.
   EXPECT_EQ(automaton.assignment_count(), 4u);
-  EXPECT_EQ(pool.table_entries(),
+  EXPECT_EQ(tables.table_entries(),
             automaton.state_count() * automaton.assignment_count());
   // State numbering is preserved exactly, including the initial state and
   // its obligation (the property formula itself — pointer-equal through the
@@ -104,8 +104,8 @@ TEST(CompiledTableTest, StepWalksTheSameStatesAsAutomatonMonitor) {
   FormulaRef formula = parse_fltl("G (req -> F[2] ack)", factory);
   const ArAutomaton automaton = synthesize(factory, formula);
 
-  CompiledMonitorPool pool;
-  CompiledMonitor compiled = pool.compile(automaton, factory);
+  CompiledTables tables;
+  CompiledMonitor compiled = tables.compile(automaton, factory);
   AutomatonMonitor reference(automaton);
 
   // req fires, ack answers just inside the bound, then req fires again and
@@ -134,11 +134,11 @@ TEST(CompiledTableTest, EndOfTraceVerdictsArePrecomputed) {
   // Weak operator: holds if the trace ends now.
   FormulaRef always = parse_fltl("G req", factory);
 
-  CompiledMonitorPool pool;
+  CompiledTables tables;
   CompiledMonitor f_monitor =
-      pool.compile(synthesize(factory, eventually), factory);
+      tables.compile(synthesize(factory, eventually), factory);
   CompiledMonitor g_monitor =
-      pool.compile(synthesize(factory, always), factory);
+      tables.compile(synthesize(factory, always), factory);
 
   EXPECT_EQ(f_monitor.verdict_at_end(), Verdict::kViolated);
   EXPECT_EQ(g_monitor.verdict_at_end(), Verdict::kValidated);
@@ -154,8 +154,8 @@ TEST(CompiledTableTest, ResetRestoresTheInitialState) {
   FormulaFactory factory;
   FormulaRef formula = parse_fltl("F[1] go", factory);
   const ArAutomaton automaton = synthesize(factory, formula);
-  CompiledMonitorPool pool;
-  CompiledMonitor monitor = pool.compile(automaton, factory);
+  CompiledTables tables;
+  CompiledMonitor monitor = tables.compile(automaton, factory);
 
   monitor.step(0);  // go false
   monitor.step(0);  // bound expires: violated
@@ -170,12 +170,12 @@ TEST(CompiledTableTest, ResetRestoresTheInitialState) {
 
 TEST(CompiledTableTest, PoolKeepsMonitorsIndependent) {
   FormulaFactory factory;
-  CompiledMonitorPool pool;
+  CompiledTables tables;
   CompiledMonitor first =
-      pool.compile(synthesize(factory, parse_fltl("G a", factory)), factory);
+      tables.compile(synthesize(factory, parse_fltl("G a", factory)), factory);
   CompiledMonitor second =
-      pool.compile(synthesize(factory, parse_fltl("F b", factory)), factory);
-  EXPECT_EQ(pool.monitor_count(), 2u);
+      tables.compile(synthesize(factory, parse_fltl("F b", factory)), factory);
+  EXPECT_EQ(tables.monitor_count(), 2u);
 
   // a stays true, b stays false: the first must remain pending while the
   // second is driven through its own table rows.
@@ -194,8 +194,8 @@ TEST(CompiledTableTest, PropositionIndexBeyondTheWordIsRejected) {
   }
   FormulaRef formula = factory.prop("p64");  // factory index 64
   const ArAutomaton automaton = synthesize(factory, formula);
-  CompiledMonitorPool pool;
-  EXPECT_THROW(pool.compile(automaton, factory), CompileError);
+  CompiledTables tables;
+  EXPECT_THROW(tables.compile(automaton, factory), CompileError);
 }
 
 TEST(CompiledTableTest, DefaultConstructedHandleIsInvalid) {
@@ -267,8 +267,8 @@ TEST_P(CompiledFuzzTest, CompiledMatchesInterpretedTransitionForTransition) {
     } catch (const SynthesisLimitError&) {
       continue;
     }
-    CompiledMonitorPool pool;
-    CompiledMonitor compiled = pool.compile(automaton, factory);
+    CompiledTables tables;
+    CompiledMonitor compiled = tables.compile(automaton, factory);
     AutomatonMonitor table(automaton);
     ProgressionMonitor interpreted(factory, formula);
 
@@ -388,6 +388,142 @@ TEST(CheckerBothModeTest, CorruptHookRequiresACompiledMonitor) {
   checker.register_proposition("a", [] { return true; });
   checker.add_property("inv", "G a");
   EXPECT_THROW(checker.corrupt_compiled_for_test(0, 1), std::logic_error);
+}
+
+// --- limits fall back to progression -----------------------------------------
+
+/// Runs `x` through 0..steps-1 and returns the verdict of property 0.
+Verdict run_counter(TemporalChecker& checker, int& x, int steps) {
+  for (x = 0; x < steps && !checker.all_decided(); ++x) checker.step_all();
+  return checker.properties()[0].verdict();
+}
+
+TEST(CompiledFallbackTest, SeventeenPropositionsRunOnProgression) {
+  // 17 propositions exceed synthesis's 16-proposition alphabet limit.
+  std::string text = "G (";
+  for (int i = 0; i < 17; ++i) text += (i ? " || p" : "p") + std::to_string(i);
+  text += ")";
+  Verdict expected = Verdict::kPending;
+  for (const MonitorMode mode : {MonitorMode::kProgression,
+                                 MonitorMode::kCompiled, MonitorMode::kBoth}) {
+    sim::Simulation sim;
+    TemporalChecker checker(sim, "sctc", mode);
+    int x = 0;
+    for (int i = 0; i < 17; ++i) {
+      checker.register_proposition("p" + std::to_string(i),
+                                   [&x, i] { return x == i; });
+    }
+    checker.add_property("any", text);
+    const PropertyRecord& record = checker.properties()[0];
+    EXPECT_FALSE(record.compiled.valid()) << monitor_mode_name(mode);
+    EXPECT_NE(record.progression, nullptr) << monitor_mode_name(mode);
+    EXPECT_EQ(record.automaton_states, 0u) << monitor_mode_name(mode);
+    const Verdict verdict = run_counter(checker, x, 20);
+    if (mode == MonitorMode::kProgression) expected = verdict;
+    EXPECT_EQ(verdict, expected) << monitor_mode_name(mode);
+    EXPECT_EQ(checker.divergence_count(), 0u);
+  }
+  EXPECT_EQ(expected, Verdict::kViolated);  // x == 17 matches no p_i
+}
+
+TEST(CompiledFallbackTest, PropositionIndex64RunsOnProgression) {
+  // Index 64 is past the 64-bit proposition word: synthesis succeeds,
+  // compilation does not. Property 1 (indices 0 and 1) still compiles.
+  Verdict expected[2] = {};
+  for (const MonitorMode mode :
+       {MonitorMode::kProgression, MonitorMode::kCompiled}) {
+    sim::Simulation sim;
+    TemporalChecker checker(sim, "sctc", mode);
+    int x = 0;
+    for (int i = 0; i <= 64; ++i) {
+      checker.register_proposition("p" + std::to_string(i),
+                                   [&x, i] { return x == i % 8; });
+    }
+    checker.add_property("late", "G (p64 -> F[3] p1)");
+    checker.add_property("early", "G (p0 -> F[3] p1)");
+    EXPECT_EQ(checker.properties()[0].compiled.valid(), false);
+    EXPECT_EQ(checker.properties()[1].compiled.valid(),
+              mode == MonitorMode::kCompiled);
+    run_counter(checker, x, 8);
+    for (int p = 0; p < 2; ++p) {
+      const Verdict verdict = checker.properties()[p].verdict();
+      if (mode == MonitorMode::kProgression) expected[p] = verdict;
+      EXPECT_EQ(verdict, expected[p]) << p;
+    }
+  }
+  // x == 0 (p64 and p0, 64 % 8 == 0), then x == 1 answers within the bound.
+  EXPECT_EQ(expected[0], Verdict::kPending);
+}
+
+// --- shared monitor tables ---------------------------------------------------
+
+TEST(MonitorTablesTest, CheckersSharingTablesMatchPrivateTables) {
+  const MonitorTables tables(
+      {"small", "done"},
+      {{"G small", temporal::Dialect::kFltl},
+       {"G (small -> F[10] done)", temporal::Dialect::kFltl},
+       {"always (small -> eventually! done)", temporal::Dialect::kPsl}});
+  ASSERT_EQ(tables.size(), 3u);
+
+  const auto run = [](const MonitorTables* shared, int limit) {
+    sim::Simulation sim;
+    TemporalChecker checker(sim, "sctc", MonitorMode::kCompiled);
+    if (shared != nullptr) checker.use_monitor_tables(shared);
+    int x = 0;
+    checker.register_proposition("small", [&x] { return x < 8; });
+    checker.register_proposition("done", [&x, limit] { return x == limit; });
+    checker.add_property("stays_small", "G small");
+    checker.add_property("respond", "G (small -> F[10] done)");
+    checker.add_property("psl", "always (small -> eventually! done)",
+                         temporal::Dialect::kPsl);
+    for (x = 0; x < 12; ++x) checker.step_all();
+    std::string result;
+    for (const PropertyRecord& record : checker.properties()) {
+      result += std::string(temporal::to_string(record.verdict())) + "@" +
+                std::to_string(record.decided_at_step) + "/" +
+                std::to_string(record.automaton_states) + " ";
+    }
+    return result;
+  };
+  // Two runs on the same tables stay independent: each keeps its own
+  // states, so the second run's different trace gives its own verdicts.
+  for (const int limit : {5, 20}) {
+    EXPECT_EQ(run(&tables, limit), run(nullptr, limit)) << limit;
+  }
+  EXPECT_NE(run(&tables, 5), run(&tables, 20));
+}
+
+TEST(MonitorTablesTest, MismatchedPropertiesOrPropositionsAreRejected) {
+  const MonitorTables tables({"a", "b"},
+                             {{"G (a -> F[2] b)", temporal::Dialect::kFltl}});
+  {
+    // Propositions registered in the other order: bit 0 would read b.
+    sim::Simulation sim;
+    TemporalChecker checker(sim, "sctc", MonitorMode::kCompiled);
+    checker.use_monitor_tables(&tables);
+    checker.register_proposition("b", [] { return true; });
+    checker.register_proposition("a", [] { return true; });
+    EXPECT_THROW(checker.add_property("p", "G (a -> F[2] b)"),
+                 std::logic_error);
+  }
+  {
+    sim::Simulation sim;
+    TemporalChecker checker(sim, "sctc", MonitorMode::kCompiled);
+    checker.use_monitor_tables(&tables);
+    checker.register_proposition("a", [] { return true; });
+    checker.register_proposition("b", [] { return true; });
+    EXPECT_THROW(checker.add_property("p", "G (a -> F[3] b)"),
+                 std::logic_error);
+    checker.add_property("p", "G (a -> F[2] b)");
+    // The tables hold one property; a second has nothing to attach to.
+    EXPECT_THROW(checker.add_property("q", "G (a -> F[2] b)"),
+                 std::logic_error);
+  }
+  {
+    sim::Simulation sim;
+    TemporalChecker checker(sim, "sctc", MonitorMode::kBoth);
+    EXPECT_THROW(checker.use_monitor_tables(&tables), std::logic_error);
+  }
 }
 
 // --- zero-allocation steady state -------------------------------------------

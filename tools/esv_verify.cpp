@@ -8,9 +8,10 @@
 //     --approach=1|2       microprocessor model | derived ESW model (default 2)
 //     --max-steps=N        statement/cycle budget (default 1,000,000)
 //     --seed=S             stimulus seed (default 1)
-//     --mode=progression|automaton   monitor mode (default progression)
+//     --mode=progression|automaton   monitor mode (default compiled)
 //     --monitor-mode=interpreted|automaton|compiled|both
-//                          full monitor-mode spelling (docs/MONITORS.md):
+//                          full monitor-mode spelling (docs/MONITORS.md,
+//                          default compiled):
 //                          "interpreted" is the progression rewriter,
 //                          "compiled" the flat-transition-table lowering,
 //                          "both" runs the two in lockstep and reports any
@@ -102,7 +103,7 @@ struct Options {
   int approach = 2;
   std::uint64_t max_steps = 1'000'000;
   std::uint64_t seed = 1;
-  sctc::MonitorMode mode = sctc::MonitorMode::kProgression;
+  sctc::MonitorMode mode = campaign::CampaignConfig{}.mode;
   std::string vcd_path;
   std::size_t witness = 0;
   bool quiet = false;
