@@ -41,8 +41,6 @@
 //
 // The gates make the binary usable as an opt-in CTest perf check:
 //   ctest -C perf -L perf        (or: cmake --build build --target check-perf)
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -50,7 +48,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -58,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/loop.hpp"
 #include "dist/wire.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -102,19 +100,6 @@ std::uint64_t parse_u64(const std::string& text, std::uint64_t fallback) {
   return value;
 }
 
-int connect_client(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 /// One submit, blocking until the report frame; returns latency in
 /// milliseconds (negative on protocol failure).
 double submit_and_wait(int fd, const campaign::CampaignConfig& config) {
@@ -157,7 +142,7 @@ BenchRun run_bench(serve::ServerOptions options,
   BenchRun result;
   serve::Server server(std::move(options));
   std::thread loop([&server] { server.run(); });
-  const int fd = connect_client(server.socket_path());
+  const int fd = dist::connect_unix(server.socket_path());
   if (fd < 0) {
     std::cerr << "bench_serve_qps: cannot connect\n";
     server.request_stop();

@@ -263,14 +263,17 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
     }
   }
 
+  // The models outlive the try block, so every exit from it — including a
+  // fault of the software under test — reads the statement count.
+  std::optional<esw::EswModel> model;
+  std::optional<sim::Clock> clock;
   try {
     if (config.approach == 2) {
-      esw::EswModel model(sim, "esw", stack.program, *stack.lowered, memory,
-                          inputs);
+      model.emplace(sim, "esw", stack.program, *stack.lowered, memory, inputs);
       // Registration order matters: the checker's trigger method is created
       // first, so on every pc event the monitors step on the pre-fault state
       // and the engine then injects for that step.
-      checker.bind_trigger(model.pc_event());
+      checker.bind_trigger(model->pc_event());
       sim.create_method(
           "supervisor",
           [&] {
@@ -281,21 +284,20 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
               sim.stop();
               return;
             }
-            if (model.finished() || checker.all_decided() ||
-                model.interpreter().steps_executed() >= config.max_steps) {
+            if (model->finished() || checker.all_decided() ||
+                model->interpreter().steps_executed() >= config.max_steps) {
               sim.stop();
             }
           },
-          {&model.pc_event()}, /*run_at_start=*/false);
+          {&model->pc_event()}, /*run_at_start=*/false);
       sim.run();
-      result.finished = model.finished();
-      result.statements = model.interpreter().steps_executed();
+      result.finished = model->finished();
     } else {
-      sim::Clock clock(sim, "clk", sim::Time::ns(10));
-      cpu::Cpu core(sim, "cpu", *stack.image, memory, inputs, clock);
+      clock.emplace(sim, "clk", sim::Time::ns(10));
+      cpu::Cpu core(sim, "cpu", *stack.image, memory, inputs, *clock);
       core.set_stop_on_halt(true);
-      if (faults) faults->bind_clock(clock);
-      checker.bind_trigger(clock.posedge_event());
+      if (faults) faults->bind_clock(*clock);
+      checker.bind_trigger(clock->posedge_event());
       sim.create_method(
           "supervisor",
           [&] {
@@ -306,14 +308,13 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
               sim.stop();
               return;
             }
-            if (checker.all_decided() || clock.cycles() >= config.max_steps) {
+            if (checker.all_decided() || clock->cycles() >= config.max_steps) {
               sim.stop();
             }
           },
-          {&clock.posedge_event()}, /*run_at_start=*/false);
+          {&clock->posedge_event()}, /*run_at_start=*/false);
       sim.run();
       result.finished = core.halted() && !core.trapped();
-      result.statements = clock.cycles();
       if (core.trapped()) {
         result.error = "CPU trapped: " + core.trap_message();
         result.error_kind = "sut";
@@ -338,6 +339,8 @@ SeedResult SeedRunner::run_attempt(std::uint64_t seed) {
     result.error = e.what();
     result.error_kind = "infrastructure";
   }
+  if (model) result.statements = model->interpreter().steps_executed();
+  if (clock) result.statements = clock->cycles();
   if (timed_out) {
     result.error = watchdog_message(config.seed_timeout_seconds);
     result.error_kind = "timeout";

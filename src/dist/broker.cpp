@@ -1,10 +1,5 @@
 #include "dist/broker.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,7 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,6 +21,7 @@
 #include "campaign/seed_runner.hpp"
 #include "chaos/chaos.hpp"
 #include "common/rng.hpp"
+#include "dist/loop.hpp"
 #include "dist/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -51,18 +46,14 @@ struct WorkerSlot {
   bool spawn_pending = false;  // respawn scheduled, waiting out the backoff
   Clock::time_point spawn_at{};
 
-  int fd = -1;
-  bool connected = false;
-  FrameReader reader;
+  /// Connection of this incarnation once its HELLO arrived.
+  ConnId conn = kNoConn;
   /// Seed *indices* dispatched to this incarnation and not yet resulted.
   std::deque<std::uint64_t> assigned;
   Clock::time_point last_seen{};
   Clock::time_point last_assign{};  // rate-limits lost-ASSIGN re-sends
-};
 
-struct PendingConn {
-  int fd = -1;
-  FrameReader reader;
+  bool connected() const { return conn != kNoConn; }
 };
 
 class Broker {
@@ -71,6 +62,13 @@ class Broker {
       : config_(config),
         options_(options),
         setup_(campaign::prepare_campaign(config)),
+        loop_({/*on_accept=*/nullptr, /*on_header=*/nullptr,
+               [this](ConnId conn, const std::string& payload) {
+                 on_frame(conn, payload);
+               },
+               [this](ConnId conn, CloseReason reason) {
+                 on_close(conn, reason);
+               }}),
         backoff_(options.backoff_base_seconds, options.backoff_cap_seconds,
                  options.backoff_seed),
         chaos_seed_text_(std::to_string(options.chaos_seed)) {
@@ -117,10 +115,7 @@ class Broker {
         continue;
       }
       const std::uint64_t index = recovered.seed - config.seed_lo;
-      if (filled_[index]) continue;
-      report_.seeds[index] = recovered;
-      filled_[index] = 1;
-      ++filled_count_;
+      if (!filled_[index]) fill(index, recovered);
     }
     for (std::uint64_t i = 0; i < count_; ++i) {
       if (!filled_[i]) pending_.push_back(i);
@@ -180,33 +175,13 @@ class Broker {
     }
     sock_dir_ = buf.data();
     sock_path_ = sock_dir_ + "/broker.sock";
-
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("dist: socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (sock_path_.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("dist: broker socket path too long");
-    }
-    std::memcpy(addr.sun_path, sock_path_.c_str(), sock_path_.size() + 1);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0 ||
-        ::listen(listen_fd_, static_cast<int>(workers_) + 4) != 0) {
-      throw std::runtime_error("dist: cannot bind broker socket " +
-                               sock_path_);
-    }
-    int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-    ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
+    loop_.listen(listen_unix(sock_path_, static_cast<int>(workers_) + 4));
   }
 
+  /// Kills and reaps live workers and removes the socket; the loop closes
+  /// the connections.
   void cleanup() {
-    for (PendingConn& conn : pending_conns_) {
-      if (conn.fd >= 0) ::close(conn.fd);
-    }
-    pending_conns_.clear();
     for (WorkerSlot& slot : slots_) {
-      if (slot.fd >= 0) ::close(slot.fd);
-      slot.fd = -1;
       if (slot.alive && slot.pid > 0) {
         ::kill(slot.pid, SIGKILL);
         int status = 0;
@@ -215,8 +190,6 @@ class Broker {
         slot.alive = false;
       }
     }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
     if (!sock_path_.empty()) ::unlink(sock_path_.c_str());
     if (!sock_dir_.empty()) ::rmdir(sock_dir_.c_str());
     sock_path_.clear();
@@ -255,9 +228,7 @@ class Broker {
     slot.alive = true;
     slot.kill_sent = false;
     slot.spawn_pending = false;
-    slot.connected = false;
-    slot.fd = -1;
-    slot.reader = FrameReader();
+    slot.conn = kNoConn;
     slot.last_seen = Clock::now();
     metrics_.counter("dist.spawns").add();
     events_.worker_event(slot.generation == 0 ? "spawn" : "respawn", slot.id,
@@ -272,15 +243,22 @@ class Broker {
     }
   }
 
-  void reap_workers() {
+  /// Reaps exited workers; `block` waits for every live one (after the
+  /// shutdown kill).
+  void reap_workers(bool block = false) {
     for (WorkerSlot& slot : slots_) {
       if (!slot.alive || slot.pid <= 0) continue;
       int status = 0;
-      pid_t reaped = ::waitpid(slot.pid, &status, WNOHANG);
+      pid_t reaped;
+      do {
+        reaped = ::waitpid(slot.pid, &status, block ? 0 : WNOHANG);
+      } while (reaped < 0 && errno == EINTR);
       if (reaped != slot.pid) continue;
       slot.alive = false;
       std::string reason;
-      if (WIFEXITED(status)) {
+      if (block) {
+        reason = "killed at shutdown";
+      } else if (WIFEXITED(status)) {
         reason = "exited with status " + std::to_string(WEXITSTATUS(status));
       } else if (WIFSIGNALED(status)) {
         reason = "killed by signal " + std::to_string(WTERMSIG(status));
@@ -308,14 +286,9 @@ class Broker {
   /// re-dispatch or abandon its seeds, and respawn the slot if the budget
   /// allows. Called exactly once per incarnation (from reap_workers).
   void on_worker_down(WorkerSlot& slot, const std::string& reason) {
-    if (slot.fd >= 0) {
-      // The process is dead, so EOF is guaranteed: drain whatever RESULT /
-      // METRICS frames it managed to send before dying.
-      drain_fd(slot);
-      ::close(slot.fd);
-      slot.fd = -1;
-    }
-    slot.connected = false;
+    // The process is dead, so EOF is guaranteed: drain whatever RESULT /
+    // METRICS frames it managed to send before dying.
+    loop_.drain(slot.conn);
     metrics_.counter("dist.worker_exits").add();
     events_.worker_event("exit", slot.id, slot.generation, reason);
     if (draining_) {
@@ -415,11 +388,9 @@ class Broker {
 
   bool send_to(WorkerSlot& slot, const std::string& payload) {
     try {
-      write_frame(slot.fd, payload);
+      write_frame(loop_.fd(slot.conn), payload);
     } catch (const WireError&) {
-      ::close(slot.fd);
-      slot.fd = -1;
-      slot.connected = false;
+      loop_.close(slot.conn);
       kill_slot(slot);  // reap re-dispatches everything it held
       return false;
     }
@@ -435,7 +406,7 @@ class Broker {
   /// broker keeps the first RESULT per seed, which is safe because results
   /// are deterministic.
   void top_up(WorkerSlot& slot) {
-    if (!slot.connected) return;
+    if (!slot.connected()) return;
     const std::size_t low_water = std::max<std::size_t>(2 * jobs_, 2);
     if (slot.assigned.size() >= low_water) return;
 
@@ -451,7 +422,7 @@ class Broker {
     if (seeds.empty() && slot.assigned.empty()) {
       WorkerSlot* victim = nullptr;
       for (WorkerSlot& other : slots_) {
-        if (other.id == slot.id || !other.connected) continue;
+        if (other.id == slot.id || !other.connected()) continue;
         if (victim == nullptr ||
             other.assigned.size() > victim->assigned.size()) {
           victim = &other;
@@ -481,17 +452,28 @@ class Broker {
     }
   }
 
-  void abandon(std::uint64_t index, const std::string& reason) {
-    campaign::SeedResult result;
-    result.seed = config_.seed_lo + index;
-    result.error = "distributed: " + reason;
-    result.error_kind = "infrastructure";
-    result.attempts = std::max(1u, crash_count_[index]);
-    result.fault_plan_digest = setup_.plan_digest;
+  void fill(std::uint64_t index, campaign::SeedResult result) {
     report_.seeds[index] = std::move(result);
     filled_[index] = 1;
     ++filled_count_;
-    metrics_.counter("dist.abandoned_seeds").add();
+  }
+
+  /// Fills a seed the broker could not run with a deterministic
+  /// "infrastructure"-kind capture, counted in `counter`.
+  void fill_error(std::uint64_t index, std::string error,
+                  const char* counter) {
+    campaign::SeedResult result;
+    result.seed = config_.seed_lo + index;
+    result.error = std::move(error);
+    result.error_kind = "infrastructure";
+    result.attempts = std::max(1u, crash_count_[index]);
+    result.fault_plan_digest = setup_.plan_digest;
+    fill(index, std::move(result));
+    metrics_.counter(counter).add();
+  }
+
+  void abandon(std::uint64_t index, const std::string& reason) {
+    fill_error(index, "distributed: " + reason, "dist.abandoned_seeds");
   }
 
   void abandon_remaining(const std::string& reason) {
@@ -521,9 +503,7 @@ class Broker {
     // are deliberately NOT journaled — they record a transient infrastructure
     // failure, and a resumed run should retry those seeds, not replay them.
     if (config_.on_result) config_.on_result(result);
-    report_.seeds[index] = std::move(result);
-    filled_[index] = 1;
-    ++filled_count_;
+    fill(index, std::move(result));
     last_progress_ = Clock::now();
     metrics_.counter("dist.results_rx").add();
   }
@@ -581,28 +561,45 @@ class Broker {
     }
   }
 
-  /// Reads until EOF on a dead incarnation's socket, salvaging complete
-  /// frames. Safe to block: the peer process has exited, so the kernel
-  /// delivers the buffered bytes and then EOF.
-  void drain_fd(WorkerSlot& slot) {
-    char buf[65536];
-    try {
-      for (;;) {
-        ssize_t n = ::recv(slot.fd, buf, sizeof buf, 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        slot.reader.feed(buf, static_cast<std::size_t>(n));
-        while (std::optional<std::string> payload = slot.reader.next()) {
-          handle_frame(slot, *payload);
-        }
-      }
-    } catch (const WireError&) {
-      // Corrupt tail on a dead worker's stream: stop salvaging; the seeds
-      // it still held re-dispatch through the normal crash path.
+  WorkerSlot* slot_of(ConnId conn) {
+    if (conn == kNoConn) return nullptr;
+    for (WorkerSlot& slot : slots_) {
+      if (slot.conn == conn) return &slot;
     }
+    return nullptr;
   }
 
-  void attach_worker(PendingConn& conn, const Json& hello) {
+  /// Loop callback for every decoded frame. A connection with no slot yet
+  /// is pre-HELLO: its first frame must be a HELLO that attaches it.
+  void on_frame(ConnId conn, const std::string& payload) {
+    if (WorkerSlot* slot = slot_of(conn)) {
+      handle_frame(*slot, payload);
+      return;
+    }
+    try {
+      Frame frame = parse_frame(payload);
+      if (frame.kind == FrameKind::kHello) {
+        attach_worker(conn, frame.body);
+        return;
+      }
+    } catch (const WireError&) {
+    }
+    loop_.close(conn);  // first frame was not a well-formed HELLO
+  }
+
+  /// Loop callback for every closed connection. EOF only detaches the
+  /// slot; seed accounting waits for the authoritative reap.
+  void on_close(ConnId conn, CloseReason reason) {
+    WorkerSlot* slot = slot_of(conn);
+    if (slot == nullptr) return;
+    slot->conn = kNoConn;
+    // Framing-level corruption (oversized length or a CRC mismatch): the
+    // stream cannot be resynchronized, so the incarnation is killed and its
+    // seeds recovered whole through the crash path.
+    if (reason == CloseReason::kCorrupt) kill_slot(*slot);
+  }
+
+  void attach_worker(ConnId conn, const Json& hello) {
     unsigned id = static_cast<unsigned>(hello.u64_or("worker", ~0u));
     unsigned generation =
         static_cast<unsigned>(hello.u64_or("generation", ~0u));
@@ -610,15 +607,11 @@ class Broker {
     WorkerSlot* slot =
         id < slots_.size() && version_ok ? &slots_[id] : nullptr;
     if (slot == nullptr || slot->generation != generation || !slot->alive ||
-        slot->connected) {
-      ::close(conn.fd);  // stale incarnation or protocol skew
-      conn.fd = -1;
+        slot->connected()) {
+      loop_.close(conn);  // stale incarnation or protocol skew
       return;
     }
-    slot->fd = conn.fd;
-    conn.fd = -1;
-    slot->reader = std::move(conn.reader);
-    slot->connected = true;
+    slot->conn = conn;
     slot->last_seen = Clock::now();
     events_.worker_event("connect", slot->id, slot->generation);
     if (send_to(*slot, make_broker_hello(wire_config_))) {
@@ -634,115 +627,6 @@ class Broker {
   }
 
   // --- event loop --------------------------------------------------------
-
-  void accept_connections() {
-    for (;;) {
-      int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN / EWOULDBLOCK: drained
-      }
-      PendingConn conn;
-      conn.fd = fd;
-      pending_conns_.push_back(std::move(conn));
-    }
-  }
-
-  /// One recv() on a readable pre-HELLO connection; a complete HELLO frame
-  /// promotes it to its worker slot.
-  void read_pending(PendingConn& conn) {
-    char buf[4096];
-    ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
-    if (n <= 0) {
-      ::close(conn.fd);
-      conn.fd = -1;
-      return;
-    }
-    conn.reader.feed(buf, static_cast<std::size_t>(n));
-    std::optional<std::string> payload;
-    try {
-      payload = conn.reader.next();
-    } catch (const WireError&) {
-      ::close(conn.fd);  // corrupt pre-HELLO stream: drop the connection
-      conn.fd = -1;
-      return;
-    }
-    if (!payload) return;
-    try {
-      Frame frame = parse_frame(*payload);
-      if (frame.kind == FrameKind::kHello) {
-        attach_worker(conn, frame.body);
-        return;
-      }
-    } catch (const WireError&) {
-    }
-    ::close(conn.fd);  // first frame was not a well-formed HELLO
-    conn.fd = -1;
-  }
-
-  /// One recv() on a connected worker socket. EOF just closes the fd; seed
-  /// accounting waits for the authoritative reap.
-  void read_worker(WorkerSlot& slot) {
-    char buf[65536];
-    ssize_t n = ::recv(slot.fd, buf, sizeof buf, 0);
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
-    if (n <= 0) {
-      ::close(slot.fd);
-      slot.fd = -1;
-      slot.connected = false;
-      return;
-    }
-    slot.reader.feed(buf, static_cast<std::size_t>(n));
-    try {
-      while (std::optional<std::string> payload = slot.reader.next()) {
-        handle_frame(slot, *payload);
-        if (!slot.connected) break;  // handle_frame killed the incarnation
-      }
-    } catch (const WireError&) {
-      // Framing-level corruption (oversized length or a CRC mismatch): the
-      // stream cannot be resynchronized, so the incarnation is killed and
-      // its seeds recovered whole through the crash path.
-      ::close(slot.fd);
-      slot.fd = -1;
-      slot.connected = false;
-      kill_slot(slot);
-    }
-  }
-
-  void poll_io(int timeout_ms) {
-    std::vector<pollfd> fds;
-    fds.push_back({listen_fd_, POLLIN, 0});
-    // Index-based bookkeeping for the pre-HELLO connections: the accept
-    // below push_backs into pending_conns_, which can reallocate, so
-    // pointers/references taken here would dangle. Accepts only append, so
-    // indices below the snapshot count stay stable.
-    const std::size_t polled_pending = pending_conns_.size();
-    for (PendingConn& conn : pending_conns_) {
-      fds.push_back({conn.fd, POLLIN, 0});
-    }
-    std::vector<WorkerSlot*> slot_order;
-    for (WorkerSlot& slot : slots_) {
-      if (slot.fd < 0) continue;
-      fds.push_back({slot.fd, POLLIN, 0});
-      slot_order.push_back(&slot);
-    }
-    int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (ready <= 0) return;
-    if (fds[0].revents != 0) accept_connections();
-    std::size_t cursor = 1;
-    for (std::size_t i = 0; i < polled_pending; ++i) {
-      PendingConn& conn = pending_conns_[i];
-      if (fds[cursor++].revents != 0 && conn.fd >= 0) read_pending(conn);
-    }
-    for (WorkerSlot* slot : slot_order) {
-      if (fds[cursor++].revents != 0 && slot->fd >= 0) read_worker(*slot);
-    }
-    pending_conns_.erase(
-        std::remove_if(pending_conns_.begin(), pending_conns_.end(),
-                       [](const PendingConn& conn) { return conn.fd < 0; }),
-        pending_conns_.end());
-  }
 
   void event_loop() {
     while (filled_count_ < count_) {
@@ -790,7 +674,7 @@ class Broker {
       for (WorkerSlot& slot : slots_) top_up(slot);
       // Tighten the poll when a backoff timer (re-dispatch or respawn) is
       // pending so due timers fire promptly.
-      poll_io(!deferred_.empty() || any_scheduled ? 10 : 100);
+      loop_.turn(!deferred_.empty() || any_scheduled ? 10 : 100);
     }
   }
 
@@ -833,9 +717,7 @@ class Broker {
           std::lock_guard<std::mutex> lock(mutex);
           if (filled_[index]) continue;
           if (config_.on_result) config_.on_result(result);
-          report_.seeds[index] = std::move(result);
-          filled_[index] = 1;
-          ++filled_count_;
+          fill(index, std::move(result));
         }
       });
     }
@@ -864,26 +746,18 @@ class Broker {
     }
     for (std::uint64_t index = 0; index < count_; ++index) {
       if (filled_[index]) continue;
-      campaign::SeedResult result;
-      result.seed = config_.seed_lo + index;
-      result.error =
-          was_cancelled
-              ? "campaign: cancelled"
-              : "campaign: wall-clock deadline exceeded (--campaign-timeout)";
-      result.error_kind = "infrastructure";
-      result.attempts = std::max(1u, crash_count_[index]);
-      result.fault_plan_digest = setup_.plan_digest;
-      report_.seeds[index] = std::move(result);
-      filled_[index] = 1;
-      ++filled_count_;
-      metrics_.counter("dist.deadline_seeds").add();
+      fill_error(index,
+                 was_cancelled ? "campaign: cancelled"
+                               : "campaign: wall-clock deadline exceeded "
+                                 "(--campaign-timeout)",
+                 "dist.deadline_seeds");
     }
   }
 
   void shutdown_workers() {
     draining_ = true;
     for (WorkerSlot& slot : slots_) {
-      if (slot.connected) send_to(slot, make_shutdown());
+      if (slot.connected()) send_to(slot, make_shutdown());
     }
     Clock::time_point deadline =
         Clock::now() +
@@ -900,27 +774,17 @@ class Broker {
           events_.worker_event("killed_at_shutdown", slot.id, slot.generation);
           kill_slot(slot);
         }
-        reap_blocking();
+        reap_workers(/*block=*/true);
         break;
       }
-      poll_io(50);
-    }
-  }
-
-  void reap_blocking() {
-    for (WorkerSlot& slot : slots_) {
-      if (!slot.alive || slot.pid <= 0) continue;
-      int status = 0;
-      while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      slot.alive = false;
-      on_worker_down(slot, "killed at shutdown");
+      loop_.turn(50);
     }
   }
 
   const campaign::CampaignConfig& config_;
   BrokerOptions options_;
   campaign::CampaignSetup setup_;
+  Loop loop_;
   campaign::CampaignConfig wire_config_;
   campaign::CampaignReport report_;
 
@@ -932,10 +796,8 @@ class Broker {
 
   std::string sock_dir_;
   std::string sock_path_;
-  int listen_fd_ = -1;
 
   std::vector<WorkerSlot> slots_;
-  std::vector<PendingConn> pending_conns_;
   std::deque<std::uint64_t> pending_;  // undispatched seed indices
   /// Crashed-seed re-dispatches waiting out their backoff: (due, index).
   std::vector<std::pair<Clock::time_point, std::uint64_t>> deferred_;

@@ -7,6 +7,9 @@
 // rendering is byte-identical for any workers x jobs combination and for the
 // in-process runner.
 //
+// Transport: workers connect to the shared poll loop (dist/loop.hpp); frames
+// to them go out through the blocking write_frame (one wire.tx probe each).
+//
 // Failure containment (the matrices in docs/DISTRIBUTED.md and
 // docs/RESILIENCE.md):
 //   * worker crash (exit, signal, SIGKILL) — its in-flight seeds are
@@ -34,40 +37,9 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
-#include "common/rng.hpp"
+#include "dist/loop.hpp"
 
 namespace esv::dist {
-
-/// Exponential backoff with deterministic jitter (docs/RESILIENCE.md):
-/// attempt n (0-based) waits base * 2^n seconds, capped at the ceiling,
-/// then scaled into [50%, 100%] by a draw from a private seeded Rng. The
-/// schedule is a pure function of (base, cap, seed, call sequence): two
-/// brokers constructed alike produce byte-identical delay sequences, which
-/// is what makes chaos-sweep replays deterministic.
-class BackoffSchedule {
- public:
-  BackoffSchedule(double base_seconds, double cap_seconds, std::uint64_t seed)
-      : base_(base_seconds), cap_(cap_seconds), rng_(seed) {}
-
-  /// Consumes one jitter draw; successive calls with the same attempt still
-  /// advance the Rng, so the sequence depends on call order, not wall time.
-  double delay_seconds(unsigned attempt) {
-    double delay = base_;
-    for (unsigned i = 0; i < attempt; ++i) {
-      if (delay >= cap_) break;
-      delay *= 2.0;
-    }
-    if (delay > cap_) delay = cap_;
-    if (delay < 0.0) delay = 0.0;
-    delay *= 0.5 + 0.5 * (static_cast<double>(rng_.next_below(1024)) / 1024.0);
-    return delay;
-  }
-
- private:
-  double base_;
-  double cap_;
-  common::Rng rng_;
-};
 
 struct BrokerOptions {
   /// Respawn budget per worker slot (a slot that keeps dying stays dead

@@ -1,5 +1,6 @@
 #include "dist/wire.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,9 +28,15 @@ std::size_t chunked(std::size_t size) {
 
 void send_all(int fd, const char* data, std::size_t size) {
   while (size != 0) {
-    const ssize_t sent = ::send(fd, data, chunked(size), MSG_NOSIGNAL);
+    const ssize_t sent = send_some(fd, data, size);
     if (sent < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // A non-blocking socket with a full buffer: wait for room, as a
+        // blocking send would.
+        pollfd entry{fd, POLLOUT, 0};
+        ::poll(&entry, 1, -1);
+        continue;
+      }
       throw WireError(std::string("wire: send failed: ") +
                       std::strerror(errno));
     }
@@ -46,9 +53,8 @@ void send_all(int fd, const char* data, std::size_t size) {
 bool recv_all(int fd, char* data, std::size_t size) {
   std::size_t got = 0;
   while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, chunked(size - got), 0);
+    const ssize_t n = recv_some(fd, data + got, size - got);
     if (n < 0) {
-      if (errno == EINTR) continue;
       throw WireError(std::string("wire: recv failed: ") +
                       std::strerror(errno));
     }
@@ -78,6 +84,22 @@ void check_frame_crc(const char* header, std::string_view payload) {
 
 void set_io_chunk_limit_for_test(std::size_t bytes) {
   io_chunk_limit.store(bytes, std::memory_order_relaxed);
+}
+
+ssize_t recv_some(int fd, char* data, std::size_t size) {
+  ssize_t n;
+  do {
+    n = ::recv(fd, data, chunked(size), 0);
+  } while (n < 0 && errno == EINTR);
+  return n;
+}
+
+ssize_t send_some(int fd, const char* data, std::size_t size) {
+  ssize_t n;
+  do {
+    n = ::send(fd, data, chunked(size), MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  return n;
 }
 
 void FrameReader::feed(const char* data, std::size_t size) {

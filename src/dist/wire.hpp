@@ -14,6 +14,8 @@
 // and the fd helpers work on any connected SOCK_STREAM socket.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,6 +47,11 @@ constexpr std::size_t kFrameHeaderBytes = common::kRecordHeaderBytes;
 /// 0 (the default) restores unlimited transfers. Not for production use.
 void set_io_chunk_limit_for_test(std::size_t bytes);
 
+/// One recv(2) / send(2) (MSG_NOSIGNAL), capped by the test seam above and
+/// retried on EINTR; returns what the syscall returns.
+ssize_t recv_some(int fd, char* data, std::size_t size);
+ssize_t send_some(int fd, const char* data, std::size_t size);
+
 /// Incremental frame decoder for poll()-driven readers: feed() raw bytes,
 /// next() pops complete payloads.
 class FrameReader {
@@ -64,12 +71,13 @@ class FrameReader {
 };
 
 /// Renders one complete frame (header + payload) into a byte string, for
-/// callers that buffer writes themselves (the serve daemon's per-connection
-/// outbox). Throws WireError when the payload exceeds kMaxFramePayload.
+/// callers that buffer writes themselves. Throws WireError when the payload
+/// exceeds kMaxFramePayload.
 std::string encode_frame(std::string_view payload);
 
 /// Writes one frame (blocking, loops over partial sends, suppresses
-/// SIGPIPE). Throws WireError when the peer is gone.
+/// SIGPIPE). On a non-blocking socket it waits for POLLOUT whenever the
+/// buffer is full. Throws WireError when the peer is gone.
 void write_frame(int fd, std::string_view payload);
 
 /// Blocking read of one frame. Returns nullopt on a clean EOF at a frame

@@ -1,8 +1,6 @@
 #include "dist/worker.hpp"
 
 #include <sys/resource.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -11,7 +9,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <fcntl.h>
@@ -23,6 +20,7 @@
 
 #include "campaign/seed_runner.hpp"
 #include "chaos/chaos.hpp"
+#include "dist/loop.hpp"
 #include "dist/protocol.hpp"
 #include "obs/metrics.hpp"
 
@@ -283,17 +281,8 @@ int worker_main(int argc, char** argv) {
   // environment; injections here are salted by worker id and generation.
   chaos::ChaosEngine* chaos_engine = chaos::install_from_env(id, generation);
 
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return fail_usage("socket() failed");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    return fail_usage("socket path too long");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return fail_usage("cannot connect to broker socket");
-  }
+  const int fd = connect_unix(socket_path);
+  if (fd < 0) return fail_usage("cannot connect to broker socket");
 
   WorkerState state;
   state.fd = fd;

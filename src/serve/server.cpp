@@ -1,15 +1,9 @@
 #include "serve/server.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <stdexcept>
 #include <thread>
@@ -35,7 +29,18 @@ int exit_code_of(const campaign::CampaignReport& report) {
 
 }  // namespace
 
-Server::Server(ServerOptions options) : options_(std::move(options)) {
+Server::Server(ServerOptions options)
+    : options_(std::move(options)),
+      loop_({[this](dist::ConnId conn) { on_accept(conn); },
+             [this](dist::ConnId conn, std::uint32_t declared) {
+               on_header(conn, declared);
+             },
+             [this](dist::ConnId conn, const std::string& payload) {
+               handle_frame(conn, payload);
+             },
+             [this](dist::ConnId, dist::CloseReason reason) {
+               on_close(reason);
+             }}) {
   if (options_.socket_path.empty()) {
     throw std::runtime_error("serve: socket_path is required");
   }
@@ -100,16 +105,7 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
     }
   }
 
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) != 0) {
-    throw std::runtime_error("serve: cannot create self-pipe");
-  }
-  pipe_rd_ = fds[0];
-  pipe_wr_ = fds[1];
-  ::fcntl(pipe_rd_, F_SETFL, O_NONBLOCK);
-  ::fcntl(pipe_wr_, F_SETFL, O_NONBLOCK);
-
-  open_socket();
+  loop_.listen(dist::listen_unix(options_.socket_path, 64));
 }
 
 Server::~Server() {
@@ -119,49 +115,12 @@ Server::~Server() {
       job->thread.join();
     }
   }
-  for (Conn& conn : conns_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (pipe_rd_ >= 0) ::close(pipe_rd_);
-  if (pipe_wr_ >= 0) ::close(pipe_wr_);
-  if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
-}
-
-void Server::open_socket() {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("serve: socket path too long: " +
-                             options_.socket_path);
-  }
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) throw std::runtime_error("serve: cannot create socket");
   ::unlink(options_.socket_path.c_str());
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    throw std::runtime_error("serve: cannot bind " + options_.socket_path +
-                             ": " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    throw std::runtime_error("serve: cannot listen on " +
-                             options_.socket_path);
-  }
-}
-
-void Server::poke() {
-  const char byte = 1;
-  // Best effort: a full pipe already guarantees a pending wakeup.
-  [[maybe_unused]] const ssize_t n = ::write(pipe_wr_, &byte, 1);
 }
 
 void Server::request_stop() {
   stop_requested_.store(true, std::memory_order_release);
-  poke();
+  loop_.wake();
 }
 
 std::uint64_t Server::queue_depth() const { return queued_count_; }
@@ -174,62 +133,14 @@ std::uint64_t Server::cache_hits() const { return cache_.hits(); }
 std::uint64_t Server::cache_size() const { return cache_.size(); }
 
 void Server::run() {
-  std::vector<pollfd> fds;
-  // Snapshot map: fds[k + 2] polls the connection at conns_[fd_conn[k]].
-  // The walk below must use this map, never conns_'s live order — a
-  // close_conn() fired mid-walk (a write error on another connection)
-  // punches fd=-1 holes, and new accepts grow conns_, so positional
-  // alignment with the pre-poll fds list does not survive the iteration.
-  std::vector<std::size_t> fd_conn;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     dispatch();
     maybe_compact();
-
-    fds.clear();
-    fd_conn.clear();
-    fds.push_back({listen_fd_, POLLIN, 0});
-    fds.push_back({pipe_rd_, POLLIN, 0});
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (conns_[i].fd < 0) continue;
-      short events = conns_[i].close_after_flush ? 0 : POLLIN;
-      if (conns_[i].outbox.size() > conns_[i].outbox_off) events |= POLLOUT;
-      fds.push_back({conns_[i].fd, events, 0});
-      fd_conn.push_back(i);
-    }
-    if (::poll(fds.data(), fds.size(), 100) < 0 && errno != EINTR) {
-      break;
-    }
-
-    if ((fds[1].revents & POLLIN) != 0) {
-      char buffer[256];
-      while (::read(pipe_rd_, buffer, sizeof(buffer)) > 0) {
-      }
-    }
-    // Walk the pre-poll snapshot. The fd equality check skips entries
-    // whose connection a handler closed earlier in this same walk
-    // (close_conn marks fd=-1). Slot recycling cannot alias a stale
-    // entry onto a new connection because accept_clients() — the only
-    // writer of Conn::fd — runs strictly after the walk.
-    for (std::size_t k = 0; k < fd_conn.size(); ++k) {
-      const pollfd& entry = fds[k + 2];
-      const std::size_t index = fd_conn[k];
-      if (conns_[index].fd != entry.fd) continue;
-      if ((entry.revents & POLLOUT) != 0) {
-        flush_conn(index);
-        if (conns_[index].fd != entry.fd) continue;
-      }
-      if ((entry.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        if (conns_[index].close_after_flush) {
-          // Not reading this connection any more; a HUP/ERR while we
-          // drain its last frames just ends it early.
-          if ((entry.revents & (POLLHUP | POLLERR)) != 0) close_conn(index);
-          continue;
-        }
-        read_client(index);
-      }
-    }
-    if ((fds[0].revents & POLLIN) != 0) accept_clients();
-    sweep_timeouts();
+    if (!loop_.turn(100)) break;
+    loop_.sweep_timeouts(
+        std::chrono::milliseconds(options_.write_timeout_ms),
+        std::chrono::milliseconds(options_.idle_timeout_ms),
+        [this](dist::ConnId conn) { return has_attached_job(conn); });
     drain_events();
   }
 
@@ -244,138 +155,84 @@ void Server::run() {
   }
   // One final drain so jobs that finished cleanly during the stop still
   // journal their completed records and stream their reports, then push
-  // whatever the outboxes hold to clients that are still reading.
+  // whatever the outboxes hold to clients that are still reading (stalled
+  // readers forfeit their frames after write_timeout_ms).
   drain_events();
-  flush_outboxes_blocking();
+  loop_.flush_blocking(std::chrono::milliseconds(options_.write_timeout_ms));
   if (journal_ != nullptr) journal_->close();
 }
 
-void Server::accept_clients() {
-  for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    const chaos::Injection inject = chaos::at(chaos::Point::kServeAccept);
-    if (inject.action == chaos::Action::kDrop) {
-      ::close(fd);
-      continue;
-    }
-    if (inject.action == chaos::Action::kDelay) sleep_ms(inject.arg);
-    std::size_t slot = conns_.size();
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (conns_[i].fd < 0) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == conns_.size()) conns_.emplace_back();
-    const auto now = std::chrono::steady_clock::now();
-    conns_[slot].fd = fd;
-    conns_[slot].reader = dist::FrameReader();
-    conns_[slot].outbox.clear();
-    conns_[slot].outbox_off = 0;
-    conns_[slot].close_after_flush = false;
-    conns_[slot].last_read = now;
-    conns_[slot].last_write_progress = now;
-  }
+void Server::on_accept(dist::ConnId conn) {
+  const chaos::Injection inject = chaos::at(chaos::Point::kServeAccept);
+  if (inject.action == chaos::Action::kDrop) loop_.close(conn);
+  if (inject.action == chaos::Action::kDelay) sleep_ms(inject.arg);
 }
 
-void Server::close_conn(std::size_t index) {
-  if (conns_[index].fd >= 0) ::close(conns_[index].fd);
-  conns_[index].fd = -1;
-  conns_[index].outbox.clear();
-  conns_[index].outbox_off = 0;
-  conns_[index].close_after_flush = false;
-  for (auto& [id, job] : jobs_) {
-    if (job->conn == static_cast<int>(index)) job->conn = -1;
-  }
-}
-
-void Server::read_client(std::size_t index) {
-  char buffer[64 * 1024];
-  for (;;) {
-    const ssize_t got = ::recv(conns_[index].fd, buffer, sizeof(buffer), 0);
-    if (got > 0) {
-      conns_[index].reader.feed(buffer, static_cast<std::size_t>(got));
-      conns_[index].last_read = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (got < 0 && errno == EINTR) continue;
-    close_conn(index);
+void Server::on_header(dist::ConnId conn, std::uint32_t declared) {
+  if (options_.max_request_bytes == 0 ||
+      declared <= options_.max_request_bytes) {
     return;
   }
-  // A corrupt frame (bad CRC, insane length) is this client's problem, not
-  // the daemon's: reject what can still be answered and drop the
-  // connection — the stream has no recoverable framing after that point.
-  try {
-    for (;;) {
-      if (options_.max_request_bytes != 0) {
-        const auto declared = conns_[index].reader.pending_payload();
-        if (declared && *declared > options_.max_request_bytes) {
-          send_rejected(index, "request of " + std::to_string(*declared) +
-                                   " bytes exceeds the request limit (" +
-                                   std::to_string(options_.max_request_bytes) +
-                                   " bytes)");
-          // The oversized payload is not buffered, so the stream cannot be
-          // re-synchronized: flush the rejection, then close. The flush
-          // below closes immediately when the rejection already drained
-          // inside send_rejected (the common case).
-          conns_[index].close_after_flush = true;
-          flush_conn(index);
-          return;
-        }
-      }
-      auto payload = conns_[index].reader.next();
-      if (!payload) break;
-      const chaos::Injection inject = chaos::at(chaos::Point::kServeRx);
-      if (inject.action == chaos::Action::kDrop) continue;
-      if (inject.action == chaos::Action::kDelay) sleep_ms(inject.arg);
-      handle_frame(index, *payload);
-      if (conns_[index].fd < 0) return;  // handler closed the connection
-      if (conns_[index].close_after_flush) return;
-    }
-  } catch (const dist::WireError&) {
-    close_conn(index);
+  send_rejected(conn, "request of " + std::to_string(declared) +
+                          " bytes exceeds the request limit (" +
+                          std::to_string(options_.max_request_bytes) +
+                          " bytes)");
+  // The oversized payload is not buffered, so the stream cannot be
+  // re-synchronized: flush the rejection, then close.
+  loop_.close_after_flush(conn);
+}
+
+void Server::on_close(dist::CloseReason reason) {
+  if (reason == dist::CloseReason::kSlowReader) {
+    metrics_.counter("serve.disconnects_slow").add();
+  } else if (reason == dist::CloseReason::kIdle) {
+    metrics_.counter("serve.disconnects_idle").add();
   }
 }
 
-void Server::handle_frame(std::size_t conn_index, const std::string& payload) {
+bool Server::has_attached_job(dist::ConnId conn) const {
+  for (const auto& [id, job] : jobs_) {
+    if (job->conn == conn) return true;
+  }
+  return false;
+}
+
+void Server::handle_frame(dist::ConnId conn, const std::string& payload) {
+  const chaos::Injection inject = chaos::at(chaos::Point::kServeRx);
+  if (inject.action == chaos::Action::kDrop) return;
+  if (inject.action == chaos::Action::kDelay) sleep_ms(inject.arg);
   try {
     const dist::Json json = dist::Json::parse(payload);
     switch (frame_kind(json)) {
       case FrameKind::kSubmit:
-        handle_submit(conn_index, json);
+        handle_submit(conn, json);
         return;
       case FrameKind::kStatus:
-        handle_status(conn_index);
+        handle_status(conn);
         return;
       case FrameKind::kCancel:
-        handle_cancel(conn_index, json);
+        handle_cancel(conn, json);
         return;
       case FrameKind::kShutdown:
-        send_to_conn(static_cast<int>(conn_index), make_shutdown_ack());
+        loop_.send(conn, make_shutdown_ack());
         request_stop();
         return;
       default:
         throw dist::WireError("serve: unexpected client frame");
     }
   } catch (const dist::WireError& e) {
-    send_rejected(conn_index, e.what());
+    send_rejected(conn, e.what());
   }
 }
 
-void Server::send_rejected(std::size_t conn_index,
-                           const std::string& reason) {
+void Server::send_rejected(dist::ConnId conn, const std::string& reason) {
   metrics_.counter("serve.rejections").add();
-  send_to_conn(static_cast<int>(conn_index),
-               make_rejected(reason, queued_count_));
+  loop_.send(conn, make_rejected(reason, queued_count_));
 }
 
-void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
-  const int conn = static_cast<int>(conn_index);
+void Server::handle_submit(dist::ConnId conn, const dist::Json& json) {
   if (json.u64_or("v", kServeProtocolVersion) != kServeProtocolVersion) {
-    send_rejected(conn_index, "unsupported protocol version");
+    send_rejected(conn, "unsupported protocol version");
     return;
   }
   campaign::CampaignConfig config;
@@ -383,7 +240,7 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
     config = campaign::config_from_json(json.at("config"));
     apply_campaign_shape(json, config);
   } catch (const dist::WireError& e) {
-    send_rejected(conn_index, std::string("malformed config: ") + e.what());
+    send_rejected(conn, std::string("malformed config: ") + e.what());
     return;
   }
   const std::string tenant = json.string_or("tenant", "default");
@@ -396,11 +253,10 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
       metrics_.counter("serve.jobs").add();
       metrics_.counter("serve.cache_hits").add();
       const std::uint64_t id = next_job_id_++;
-      send_to_conn(conn, make_accepted(id, key, /*cached=*/true,
-                                       queued_count_));
-      send_to_conn(conn, make_report_frame(id, /*cached=*/true,
-                                           cached->exit_code,
-                                           cached->report_json));
+      loop_.send(conn, make_accepted(id, key, /*cached=*/true, queued_count_));
+      loop_.send(conn, make_report_frame(id, /*cached=*/true,
+                                         cached->exit_code,
+                                         cached->report_json));
       return;
     }
     metrics_.counter("serve.cache_misses").add();
@@ -408,8 +264,8 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
 
   // Bounded queue: explicit backpressure, never a silent drop.
   if (queued_count_ >= options_.queue_limit) {
-    send_rejected(conn_index, "queue full (limit " +
-                                  std::to_string(options_.queue_limit) + ")");
+    send_rejected(conn, "queue full (limit " +
+                            std::to_string(options_.queue_limit) + ")");
     return;
   }
   // Per-tenant quota: one tenant's backlog consumes its own allowance, not
@@ -419,7 +275,7 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
     const auto it = queues_.find(tenant);
     if (it != queues_.end() &&
         it->second.size() >= options_.tenant_max_queued) {
-      send_rejected(conn_index,
+      send_rejected(conn,
                     "tenant \"" + tenant + "\" queue full (limit " +
                         std::to_string(options_.tenant_max_queued) + ")");
       return;
@@ -442,7 +298,7 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
     try {
       journal_->append_accepted(job->id, job->tenant, job->key, job->config);
     } catch (const journal::JournalError& e) {
-      send_rejected(conn_index, std::string("journal: ") + e.what());
+      send_rejected(conn, std::string("journal: ") + e.what());
       return;
     }
   }
@@ -452,7 +308,7 @@ void Server::handle_submit(std::size_t conn_index, const dist::Json& json) {
   enqueue(id);
   metrics_.counter("serve.jobs").add();
   metrics_.histogram("serve.queue_depth").record(queued_count_);
-  send_to_conn(conn, make_accepted(id, key, /*cached=*/false, queued_count_));
+  loop_.send(conn, make_accepted(id, key, /*cached=*/false, queued_count_));
 }
 
 void Server::enqueue(std::uint64_t job_id) {
@@ -504,8 +360,8 @@ void Server::start_job(Job& job) {
   job.config.cancel = job.cancel;
   job.config.on_result = [this, id = job.id](const campaign::SeedResult&) {
     std::lock_guard<std::mutex> lock(events_mutex_);
-    events_.push_back({Event::Kind::kProgress, id, 0});
-    poke();
+    events_.push_back({Event::Kind::kProgress, id});
+    loop_.wake();
   };
   job.thread = std::thread([this, &job] {
     try {
@@ -515,8 +371,8 @@ void Server::start_job(Job& job) {
       job.failure = e.what();
     }
     std::lock_guard<std::mutex> lock(events_mutex_);
-    events_.push_back({Event::Kind::kDone, job.id, 0});
-    poke();
+    events_.push_back({Event::Kind::kDone, job.id});
+    loop_.wake();
   });
 }
 
@@ -538,8 +394,8 @@ void Server::drain_events() {
     Job& job = *it->second;
     job.progress_done += increment;
     if (job.state == JobState::kRunning) {
-      send_to_conn(job.conn,
-                   make_progress(id, job.progress_done, job.total_seeds));
+      loop_.send(job.conn,
+                 make_progress(id, job.progress_done, job.total_seeds));
     }
   }
   for (const Event& event : batch) {
@@ -574,6 +430,20 @@ bool Server::journal_completed(const Job& job, bool cacheable, int exit_code,
   }
 }
 
+void Server::resolve_cancelled(std::uint64_t job_id) {
+  // A failed append leaves the job pending, so the next start re-runs a
+  // campaign the client no longer wants: count it as journal degradation
+  // and carry on.
+  if (journal_ != nullptr) {
+    try {
+      journal_->append_cancelled(job_id);
+    } catch (const journal::JournalError& e) {
+      note_journal_error(e.what());
+    }
+  }
+  metrics_.counter("serve.cancelled").add();
+}
+
 void Server::finish_job(Job& job) {
   if (job.thread.joinable()) job.thread.join();
   if (running_count_ > 0) --running_count_;
@@ -592,26 +462,17 @@ void Server::finish_job(Job& job) {
         journal_completed(job, /*cacheable=*/false, 2, error_json);
     job.state = JobState::kDone;
     metrics_.counter("serve.completed").add();
-    send_to_conn(job.conn, make_report_frame(job.id, /*cached=*/false, 2,
-                                             error_json, durable));
+    loop_.send(job.conn, make_report_frame(job.id, /*cached=*/false, 2,
+                                           error_json, durable));
     return;
   }
 
   if (job.report.cancelled) {
     if (job.client_cancelled) {
       // Client-cancelled: resolve the job in the journal and send the
-      // terminal frame. A failed append leaves the job pending, so the
-      // next start re-runs a campaign the client no longer wants — count
-      // it as journal degradation and carry on.
-      if (journal_ != nullptr) {
-        try {
-          journal_->append_cancelled(job.id);
-        } catch (const journal::JournalError& e) {
-          note_journal_error(e.what());
-        }
-      }
-      metrics_.counter("serve.cancelled").add();
-      send_to_conn(job.conn, make_cancelled(job.id));
+      // terminal frame.
+      resolve_cancelled(job.id);
+      loop_.send(job.conn, make_cancelled(job.id));
     }
     // Shutdown-cancelled jobs stay unresolved on purpose: the next start
     // re-queues and re-runs them.
@@ -636,19 +497,16 @@ void Server::finish_job(Job& job) {
   }
   job.state = JobState::kDone;
   metrics_.counter("serve.completed").add();
-  send_to_conn(job.conn,
-               make_report_frame(job.id, /*cached=*/false, exit_code,
-                                 report_json, durable));
+  loop_.send(job.conn, make_report_frame(job.id, /*cached=*/false, exit_code,
+                                         report_json, durable));
 }
 
-void Server::handle_cancel(std::size_t conn_index, const dist::Json& json) {
-  const int conn = static_cast<int>(conn_index);
+void Server::handle_cancel(dist::ConnId conn, const dist::Json& json) {
   const std::uint64_t id = json.u64_or("job", 0);
   const auto it = jobs_.find(id);
   if (it == jobs_.end() || it->second->state == JobState::kDone ||
       it->second->state == JobState::kCancelled) {
-    send_rejected(conn_index, "unknown or finished job " +
-                                  std::to_string(id));
+    send_rejected(conn, "unknown or finished job " + std::to_string(id));
     return;
   }
   Job& job = *it->second;
@@ -658,17 +516,10 @@ void Server::handle_cancel(std::size_t conn_index, const dist::Json& json) {
     queue.erase(std::remove(queue.begin(), queue.end(), id), queue.end());
     --queued_count_;
     job.state = JobState::kCancelled;
-    if (journal_ != nullptr) {
-      try {
-        journal_->append_cancelled(id);
-      } catch (const journal::JournalError& e) {
-        note_journal_error(e.what());
-      }
-    }
-    metrics_.counter("serve.cancelled").add();
-    const int submitter = job.conn;
-    send_to_conn(submitter, make_cancelled(id));
-    if (submitter != conn) send_to_conn(conn, make_cancelled(id));
+    resolve_cancelled(id);
+    const dist::ConnId submitter = job.conn;
+    loop_.send(submitter, make_cancelled(id));
+    if (submitter != conn) loop_.send(conn, make_cancelled(id));
     jobs_.erase(it);  // terminal: never ran, nothing left to track
     return;
   }
@@ -677,10 +528,10 @@ void Server::handle_cancel(std::size_t conn_index, const dist::Json& json) {
   // the canceller now (unless it IS the submitter, which gets the
   // terminal frame).
   job.cancel->store(true);
-  if (job.conn != conn) send_to_conn(conn, make_cancelled(id));
+  if (job.conn != conn) loop_.send(conn, make_cancelled(id));
 }
 
-void Server::handle_status(std::size_t conn_index) {
+void Server::handle_status(dist::ConnId conn) {
   std::string out = "{\"type\":\"status_reply\"";
   out += ",\"queue_depth\":" + std::to_string(queued_count_);
   out += ",\"running\":" + std::to_string(running_count_);
@@ -717,127 +568,7 @@ void Server::handle_status(std::size_t conn_index) {
                                            : ",\"state\":\"running\"}";
   }
   out += "]}";
-  send_to_conn(static_cast<int>(conn_index), out);
-}
-
-namespace {
-
-/// Cap on buffered outbound bytes per connection. A reader this far behind
-/// a report stream is not coming back; holding more would let one dead
-/// client grow daemon memory without bound.
-constexpr std::size_t kMaxOutboxBytes = 32u * 1024u * 1024u;
-
-}  // namespace
-
-void Server::send_to_conn(int conn_index, const std::string& payload) {
-  if (conn_index < 0 ||
-      static_cast<std::size_t>(conn_index) >= conns_.size()) {
-    return;
-  }
-  const std::size_t index = static_cast<std::size_t>(conn_index);
-  Conn& conn = conns_[index];
-  if (conn.fd < 0) return;
-  std::string frame;
-  try {
-    frame = dist::encode_frame(payload);
-  } catch (const dist::WireError&) {
-    close_conn(index);
-    return;
-  }
-  if (conn.outbox.size() - conn.outbox_off + frame.size() > kMaxOutboxBytes) {
-    metrics_.counter("serve.disconnects_slow").add();
-    close_conn(index);
-    return;
-  }
-  if (conn.outbox.empty()) conn.last_write_progress =
-      std::chrono::steady_clock::now();
-  conn.outbox.append(frame);
-  // Opportunistic drain: the common case (a responsive client) completes
-  // here and never pays for a POLLOUT round trip.
-  flush_conn(index);
-}
-
-void Server::flush_conn(std::size_t index) {
-  Conn& conn = conns_[index];
-  if (conn.fd < 0) return;
-  while (conn.outbox_off < conn.outbox.size()) {
-    const ssize_t sent =
-        ::send(conn.fd, conn.outbox.data() + conn.outbox_off,
-               conn.outbox.size() - conn.outbox_off, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // POLLOUT later
-      close_conn(index);
-      return;
-    }
-    conn.outbox_off += static_cast<std::size_t>(sent);
-    conn.last_write_progress = std::chrono::steady_clock::now();
-  }
-  conn.outbox.clear();
-  conn.outbox_off = 0;
-  if (conn.close_after_flush) close_conn(index);
-}
-
-void Server::sweep_timeouts() {
-  const auto now = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    Conn& conn = conns_[i];
-    if (conn.fd < 0) continue;
-    if (conn.outbox_off < conn.outbox.size()) {
-      const auto stalled = std::chrono::duration_cast<std::chrono::milliseconds>(
-          now - conn.last_write_progress);
-      if (stalled.count() >= 0 &&
-          static_cast<std::uint64_t>(stalled.count()) >=
-              options_.write_timeout_ms) {
-        metrics_.counter("serve.disconnects_slow").add();
-        close_conn(i);
-      }
-      continue;
-    }
-    if (options_.idle_timeout_ms == 0 || conn.close_after_flush) continue;
-    bool attached = false;
-    for (const auto& [id, job] : jobs_) {
-      if (job->conn == static_cast<int>(i)) {
-        attached = true;
-        break;
-      }
-    }
-    if (attached) continue;
-    const auto idle = std::chrono::duration_cast<std::chrono::milliseconds>(
-        now - conn.last_read);
-    if (idle.count() >= 0 && static_cast<std::uint64_t>(idle.count()) >=
-                                 options_.idle_timeout_ms) {
-      metrics_.counter("serve.disconnects_idle").add();
-      close_conn(i);
-    }
-  }
-}
-
-void Server::flush_outboxes_blocking() {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.write_timeout_ms);
-  for (;;) {
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> fd_conn;
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      flush_conn(i);
-      if (conns_[i].fd < 0) continue;
-      if (conns_[i].outbox_off >= conns_[i].outbox.size()) continue;
-      fds.push_back({conns_[i].fd, POLLOUT, 0});
-      fd_conn.push_back(i);
-    }
-    if (fds.empty()) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;  // stalled readers forfeit their frames
-    const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - now);
-    const int timeout =
-        static_cast<int>(std::min<long long>(budget.count(), 100));
-    if (::poll(fds.data(), fds.size(), timeout) < 0 && errno != EINTR) {
-      return;
-    }
-  }
+  loop_.send(conn, out);
 }
 
 void Server::maybe_compact() {

@@ -29,17 +29,18 @@
 // write) degrades instead of crashing: the daemon keeps serving and a
 // restart recovers truthfully from whichever segments survived.
 //
-// Slow and idle clients: outbound frames buffer in a per-connection outbox
-// drained on POLLOUT, so one stalled reader never blocks the loop; a
-// connection whose outbox makes no progress for write_timeout_ms (or, when
-// idle_timeout_ms is set, sits idle with no job attached) is closed.
+// Transport: clients sit on the shared poll loop (dist/loop.hpp). Replies
+// buffer in its per-connection outbox, so one stalled reader never blocks
+// the loop; a connection whose outbox makes no progress for
+// write_timeout_ms (or, when idle_timeout_ms is set, sits idle with no job
+// attached) is closed.
 //
-// Threading: one poll()-driven event-loop thread (run()) owns every socket,
-// the queue, the cache, and the journal. Campaign execution happens on up
-// to ServerOptions::concurrency executor threads; completions and progress
-// marshal back to the loop through a self-pipe. request_stop() is
-// async-signal-safe (one write(2) on the self-pipe), so SIGTERM handlers
-// can call it directly.
+// Threading: one event-loop thread (run()) owns every socket, the queue,
+// the cache, and the journal. Campaign execution happens on up to
+// ServerOptions::concurrency executor threads; completions and progress
+// marshal back to the loop through its wake fd. request_stop() is
+// async-signal-safe (one write(2) on that fd), so SIGTERM handlers can
+// call it directly.
 //
 // Chaos points (docs/RESILIENCE.md): serve.accept is probed once per
 // accepted connection (drop closes it on arrival, delay stalls it);
@@ -48,7 +49,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "dist/loop.hpp"
 #include "dist/wire.hpp"
 #include "journal/journal.hpp"
 #include "obs/metrics.hpp"
@@ -132,7 +133,7 @@ class Server {
   void run();
 
   /// Stops the loop. Callable from any thread and from signal handlers
-  /// (async-signal-safe: a single write(2)).
+  /// (async-signal-safe: a single write(2) on the loop's wake fd).
   void request_stop();
 
   // --- introspection (tests, bench, the status frame) --------------------
@@ -167,9 +168,9 @@ class Server {
     std::string key;
     campaign::CampaignConfig config;
     JobState state = JobState::kQueued;
-    /// Connection streaming this job's frames; -1 when the client is gone
-    /// (the job still runs — results land in the journal and cache).
-    int conn = -1;
+    /// Connection streaming this job's frames; sends to a closed one are
+    /// dropped (the job still runs — results land in journal and cache).
+    dist::ConnId conn = dist::kNoConn;
     std::shared_ptr<std::atomic<bool>> cancel;
     std::uint64_t total_seeds = 0;
     std::uint64_t progress_done = 0;
@@ -183,53 +184,29 @@ class Server {
     std::string failure;  // non-empty when the campaign threw
   };
 
-  struct Conn {
-    int fd = -1;
-    dist::FrameReader reader;
-    /// Outbound bytes not yet accepted by the socket. Frames are encoded
-    /// here and drained opportunistically plus on POLLOUT, so a slow
-    /// reader never blocks the event loop mid-frame.
-    std::string outbox;
-    std::size_t outbox_off = 0;
-    /// Drain the outbox, then close (terminal rejection of an oversized
-    /// request); inbound bytes are no longer read.
-    bool close_after_flush = false;
-    std::chrono::steady_clock::time_point last_read{};
-    std::chrono::steady_clock::time_point last_write_progress{};
-  };
-
   struct Event {
     enum class Kind { kProgress, kDone } kind = Kind::kProgress;
     std::uint64_t job = 0;
-    std::uint64_t done = 0;
   };
 
-  void open_socket();
-  void accept_clients();
-  void read_client(std::size_t index);
-  void close_conn(std::size_t index);
-  /// Drains outbox bytes until the socket would block; closes on error or
-  /// when a close_after_flush connection runs dry.
-  void flush_conn(std::size_t index);
-  /// Closes slow-reader connections (no outbox progress for
-  /// write_timeout_ms) and, when idle_timeout_ms is set, idle ones.
-  void sweep_timeouts();
-  /// Best-effort synchronous drain of every outbox at shutdown, bounded by
-  /// write_timeout_ms — reports finished during the stop still reach
-  /// clients that are reading.
-  void flush_outboxes_blocking();
+  /// Loop callbacks: the serve.accept probe, the max_request_bytes check
+  /// and the slow/idle disconnect counters.
+  void on_accept(dist::ConnId conn);
+  void on_header(dist::ConnId conn, std::uint32_t declared);
+  void on_close(dist::CloseReason reason);
+  /// A connection with a live job attached is never idle.
+  bool has_attached_job(dist::ConnId conn) const;
   /// Snapshot-then-swap journal compaction when the tail exceeds
   /// journal_max_bytes (docs/JOURNAL.md). Failure degrades: the daemon
   /// keeps serving and retries after the tail grows further.
   void maybe_compact();
-  void handle_frame(std::size_t conn_index, const std::string& payload);
-  void handle_submit(std::size_t conn_index, const dist::Json& json);
-  void handle_cancel(std::size_t conn_index, const dist::Json& json);
-  void handle_status(std::size_t conn_index);
-  void send_to_conn(int conn_index, const std::string& payload);
+  void handle_frame(dist::ConnId conn, const std::string& payload);
+  void handle_submit(dist::ConnId conn, const dist::Json& json);
+  void handle_cancel(dist::ConnId conn, const dist::Json& json);
+  void handle_status(dist::ConnId conn);
   /// Every rejected frame goes through here so serve.rejections counts
   /// them all.
-  void send_rejected(std::size_t conn_index, const std::string& reason);
+  void send_rejected(dist::ConnId conn, const std::string& reason);
   void enqueue(std::uint64_t job_id);
   Job* pick_next();
   void dispatch();
@@ -241,13 +218,11 @@ class Server {
   bool journal_completed(const Job& job, bool cacheable, int exit_code,
                          const std::string& report_json);
   void note_journal_error(const std::string& what);
-  void poke();  // self-pipe write, async-signal-safe
+  /// Journals a client cancel (degrading on failure) and counts it.
+  void resolve_cancelled(std::uint64_t job_id);
 
   ServerOptions options_;
-  int listen_fd_ = -1;
-  int pipe_rd_ = -1;
-  int pipe_wr_ = -1;
-  std::vector<Conn> conns_;
+  dist::Loop loop_;
 
   /// Live (queued or running) jobs only; a job is erased when its terminal
   /// frame goes out — the journal and cache carry the durable record.

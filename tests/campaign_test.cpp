@@ -8,6 +8,7 @@
 
 #include "campaign/campaign.hpp"
 #include "esw/esw_model.hpp"
+#include "esw/interpreter.hpp"
 #include "mem/address_space.hpp"
 #include "minic/sema.hpp"
 #include "spec/specfile.hpp"
@@ -279,6 +280,47 @@ check terminates: F done
   // Deterministic error capture too.
   const CampaignReport again = run(config);
   EXPECT_EQ(report.verdict_table(), again.verdict_table());
+}
+
+TEST(CampaignTest, SutFaultReportsTheStatementsRunBeforeIt) {
+  // The assertion fails on the 20th loop iteration, well into the run: the
+  // seed's statement count is the interpreter's count at the fault.
+  const char* kFaulting = R"(
+int cycles;
+void main(void) {
+  while (cycles < 50) {
+    cycles = cycles + 1;
+    assert(cycles < 20);
+  }
+}
+)";
+  CampaignConfig config = blinker_config(3, 3, 1);
+  config.program_source = kFaulting;
+  config.spec_text = R"(
+prop done = cycles >= 50
+check terminates: F done
+)";
+  const CampaignReport report = run(config);
+  ASSERT_EQ(report.seeds.size(), 1u);
+  const SeedResult& seed = report.seeds[0];
+  ASSERT_EQ(seed.error_kind, "sut") << seed.error;
+
+  const minic::Program program = minic::compile(kFaulting);
+  const esw::EswProgram lowered = esw::lower_program(program);
+  mem::AddressSpace memory((program.data_segment_end() + 0xFFFu) & ~0xFFFu);
+  stimulus::RandomInputProvider inputs(3);
+  esw::Interpreter interpreter(program, lowered, memory, inputs);
+  std::uint64_t at_fault = 0;
+  try {
+    interpreter.run(1'000'000);
+  } catch (const esw::AssertionFailure& e) {
+    at_fault = e.step();
+  }
+  ASSERT_GT(at_fault, 0u) << "the reference run must hit the assertion";
+  EXPECT_EQ(at_fault, interpreter.steps_executed());
+  EXPECT_GT(seed.statements, 0u);
+  EXPECT_EQ(seed.statements, at_fault);
+  EXPECT_EQ(report.total_statements, at_fault);
 }
 
 TEST(CampaignTest, ErroredSeedsRecordFaultPlanDigest) {

@@ -19,8 +19,8 @@
 //   --quiet              suppress progress lines
 //
 // Self-healing (all commands): a refused connection is retried with
-// bounded exponential backoff + deterministic jitter (the broker's
-// dist::BackoffSchedule — base 50 ms, cap 1 s), so a client that races a
+// bounded exponential backoff + deterministic jitter
+// (dist::BackoffSchedule — base 50 ms, cap 1 s), so a client that races a
 // daemon restart rides it out instead of failing:
 //   --retry-budget=N     connect attempts before giving up (default 8)
 //   --no-retry           fail on the first refused connection (exit 3)
@@ -30,8 +30,6 @@
 // status/cancel/shutdown; 2 usage errors; 3 connection/protocol failures;
 // 4 the server rejected the request (backpressure or malformed submit) or
 // the retry budget ran out with the daemon still unreachable.
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -43,7 +41,7 @@
 #include <string>
 #include <thread>
 
-#include "dist/broker.hpp"
+#include "dist/loop.hpp"
 #include "dist/wire.hpp"
 #include "serve/protocol.hpp"
 
@@ -197,28 +195,14 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-int connect_to(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 /// Connect with bounded exponential backoff: a client that races a daemon
 /// restart (socket not yet bound, stale socket file) rides the window out.
 /// The jitter seed is fixed, so the delay sequence is identical run to run.
 int connect_with_retry(const Options& options) {
-  if (options.no_retry) return connect_to(options.socket_path);
+  if (options.no_retry) return esv::dist::connect_unix(options.socket_path);
   esv::dist::BackoffSchedule backoff(0.05, 1.0, /*seed=*/0xE5C11E47);
   for (unsigned attempt = 0;; ++attempt) {
-    const int fd = connect_to(options.socket_path);
+    const int fd = esv::dist::connect_unix(options.socket_path);
     if (fd >= 0) return fd;
     if (attempt + 1 >= options.retry_budget) return -1;
     const double delay = backoff.delay_seconds(attempt);
